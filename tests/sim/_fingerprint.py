@@ -21,8 +21,10 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from functools import partial
 from typing import Any, Dict, List
 
+from repro.core.policy import QuorumPolicy
 from repro.faults.chaos import ChaosConfig, run_chaos, run_chaos_campaign
 from repro.obs.wiring import traced_workload
 from repro.sim.engine import Simulator
@@ -96,7 +98,9 @@ def scheduler_script(seed: int = 2026) -> Dict[str, Any]:
 
 # -- scenario 2: the traced simulate loop -------------------------------------
 
-def traced_simulate(seed: int = 11) -> Dict[str, Any]:
+def traced_simulate(
+    seed: int = 11, scheme: SchemeName = SchemeName.VOTING
+) -> Dict[str, Any]:
     """The canonical traced workload: spans from every layer.
 
     Captures the full engine->network->protocol->device path with
@@ -105,7 +109,7 @@ def traced_simulate(seed: int = 11) -> Dict[str, Any]:
     the traffic meter's per-category counts and the run's availability.
     """
     run = traced_workload(
-        scheme=SchemeName.VOTING,
+        scheme=scheme,
         num_sites=5,
         rho=0.05,
         horizon=400.0,
@@ -191,11 +195,25 @@ def _chaos_records(result) -> List[Any]:
     ]]
 
 
-def chaos_run(seed: int = 42) -> Dict[str, Any]:
-    """One seeded chaos schedule: faults, repairs, checker verdict."""
-    result = run_chaos(replace(_CHAOS_CONFIG, seed=seed))
+def chaos_run(seed: int = 42, **overrides: Any) -> Dict[str, Any]:
+    """One seeded chaos schedule: faults, repairs, checker verdict.
+
+    ``overrides`` replace fields of ``_CHAOS_CONFIG`` (scheme, group
+    size, policy ...).  Policy runs additionally pin the hinted-handoff
+    and read-repair counters and the staleness witnesses.
+    """
+    result = run_chaos(replace(_CHAOS_CONFIG, seed=seed, **overrides))
+    records = _chaos_records(result)
+    if result.policy:
+        records.append([
+            result.policy,
+            result.hints_parked,
+            result.hints_replayed,
+            result.read_repairs,
+            [str(w) for w in result.staleness_witnesses],
+        ])
     return {
-        "digest": _digest(_chaos_records(result)),
+        "digest": _digest(records),
         "summary": {
             "ok": result.ok,
             "messages": result.messages,
@@ -220,14 +238,18 @@ _MEMBERSHIP_CONFIG = ChaosConfig(
 )
 
 
-def membership_campaign(jobs: int = 1) -> Dict[str, Any]:
+def membership_campaign(
+    jobs: int = 1, scheme: SchemeName = SchemeName.VOTING
+) -> Dict[str, Any]:
     """Three reconfiguring chaos runs, fanned at ``jobs`` workers.
 
     The derived-seed contract makes the campaign bit-identical at any
     ``jobs`` value; the suite checks both jobs=1 and jobs=2 against one
     committed digest.
     """
-    results = run_chaos_campaign(_MEMBERSHIP_CONFIG, runs=3, jobs=jobs)
+    results = run_chaos_campaign(
+        replace(_MEMBERSHIP_CONFIG, scheme=scheme), runs=3, jobs=jobs
+    )
     records: List[Any] = []
     for result in results:
         records.extend(_chaos_records(result))
@@ -242,12 +264,33 @@ def membership_campaign(jobs: int = 1) -> Dict[str, Any]:
     }
 
 
+#: The sloppy (RF, R, W) point of ``chaos-voting-sloppy``: R = 1 local
+#: reads, W = 2 of 3, hinted handoff and read repair both on.
+_SLOPPY_POLICY = QuorumPolicy(rf=3, r=1, w=2, allow_sloppy=True)
+
 #: scenario name -> zero-argument callable producing {digest, summary}.
+#: Every protocol, the weighted (even-group tie-breaker) quorum path
+#: and the count-based policy path each have at least one entry, so a
+#: refactor of ``repro.core`` cannot move any of them unnoticed.
 SCENARIOS = {
     "scheduler-script": scheduler_script,
     "traced-simulate": traced_simulate,
+    "traced-simulate-ac": partial(
+        traced_simulate, scheme=SchemeName.AVAILABLE_COPY
+    ),
     "chaos-voting": chaos_run,
+    "chaos-voting-even": partial(chaos_run, num_sites=4),
+    "chaos-voting-sloppy": partial(
+        chaos_run, num_sites=3, policy=_SLOPPY_POLICY, batch_rate=0.0
+    ),
+    "chaos-ac": partial(chaos_run, scheme=SchemeName.AVAILABLE_COPY),
+    "chaos-nac": partial(
+        chaos_run, scheme=SchemeName.NAIVE_AVAILABLE_COPY
+    ),
     "membership-campaign": membership_campaign,
+    "membership-campaign-nac": partial(
+        membership_campaign, scheme=SchemeName.NAIVE_AVAILABLE_COPY
+    ),
 }
 
 

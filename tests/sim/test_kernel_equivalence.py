@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.types import SchemeName
+
 from ._fingerprint import SCENARIOS, fingerprint, membership_campaign
 
 FIXTURE = Path(__file__).parent / "fixtures" / "kernel_golden.json"
@@ -62,11 +64,21 @@ def test_kernel_reproduces_golden_fingerprint(name):
     assert got["digest"] == golden[name]["digest"]
 
 
-def test_membership_campaign_identical_across_jobs():
-    """jobs=1 and jobs=N produce one and the same fingerprint."""
+def _check_campaign_at_two_jobs(name, **kwargs):
     if REGEN:
         pytest.skip("regeneration run")
-    golden = _load_golden()["membership-campaign"]
-    pooled = membership_campaign(jobs=2)
+    golden = _load_golden()[name]
+    pooled = membership_campaign(jobs=2, **kwargs)
     assert pooled["summary"] == golden["summary"]
     assert pooled["digest"] == golden["digest"]
+
+
+def test_membership_campaign_identical_across_jobs():
+    """jobs=1 and jobs=N produce one and the same fingerprint."""
+    _check_campaign_at_two_jobs("membership-campaign")
+
+
+def test_membership_campaign_nac_identical_across_jobs():
+    _check_campaign_at_two_jobs(
+        "membership-campaign-nac", scheme=SchemeName.NAIVE_AVAILABLE_COPY
+    )
