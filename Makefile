@@ -3,17 +3,14 @@
 PYTHON ?= python3
 
 .PHONY: install test coverage bench bench-json bench-parallel \
-	bench-membership bench-kernel bench-policies metrics examples \
-	experiments lint profile clean
+	bench-membership bench-kernel bench-policies bench-smoke metrics \
+	examples experiments lint profile clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
-
-test-output:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 coverage:
 	$(PYTHON) -m pytest tests/ --cov=repro \
@@ -53,6 +50,14 @@ bench-kernel:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/sim/test_kernel_equivalence.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_kernel.py
 
+# The whole-stack benchmark (BENCHMARK.json) at smoke sizes plus its own
+# plumbing tests: measures nothing, but fails if one of the seams it
+# patches by name (the four protocol operations, the five Network entry
+# points) or a span-vs-counter cross-check no longer holds.
+bench-smoke:
+	$(PYTHON) benchmarks/stack/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/stack -q
+
 # cProfile over the protocol bench workload (tracing off), top 25
 # functions by cumulative time.  The first stop for any hot-path
 # investigation; no trajectory record is written.
@@ -65,9 +70,6 @@ profile:
 metrics:
 	$(PYTHON) -m repro metrics --horizon 500 --trace /tmp/repro-trace.jsonl
 	$(PYTHON) -m pytest tests/obs/ -q
-
-bench-output:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # Static checks. ruff and mypy are optional (install the `lint` extra);
 # the repro.lint determinism/invariant linter is stdlib-only and always

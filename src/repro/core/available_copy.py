@@ -32,7 +32,8 @@ ablation experiment quantifies exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+import abc
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from typing import TYPE_CHECKING
 
@@ -44,14 +45,12 @@ from ..errors import (
     NoAvailableCopyError,
     QuorumNotReachedError,
     SiteDownError,
-    StaleEpochError,
 )
 from ..net.message import MessageCategory
 from ..net.network import NO_REPLY, Network
-from ..obs.trace import _NULL_SPAN
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
-from .protocol import ReplicationProtocol
+from .protocol import ReplicationProtocol, updates_of
 from .version import VersionVector
 from .was_available import closure_ready
 
@@ -104,35 +103,11 @@ class AvailableCopyBase(ReplicationProtocol):
 
         Generates no network traffic on the fault-free path (the paper's
         headline advantage of the available-copy schemes for
-        read-dominated workloads).  A corrupt local copy is quarantined
-        and self-healed from any other copy holding at least the local
-        version -- one repair-request/block-transfer exchange.
+        read-dominated workloads).
         """
-        site = self.require_origin(origin)
-        if site.state is not SiteState.AVAILABLE:
-            raise SiteDownError(
-                origin, "comatose sites cannot serve reads"
-            )
-        if self.policy is not None:
-            self._policy_gate(self.policy.r)
-        span = (
-            self._span("read", origin=origin, block=block)
-            if self._network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_read, span:
-            try:
-                return site.read_block(block)
-            except CorruptBlockError:
-                self.note_corruption(origin, block)
-                needed = site.block_version(block)
-                site.store.quarantine(block)
-                if not self._fetch_for(site, block, needed):
-                    raise CorruptBlockError(
-                        block, origin,
-                        detail="no intact copy reachable to heal from",
-                    ) from None
-                self.note_heal(origin, block)
-                return site.read_block(block)
+        site = self._serving_site(origin)
+        with self._record_read, self._span("read", origin, block):
+            return self._read_local(site, block)
 
     def read_batch(
         self, origin: SiteId, blocks: Sequence[BlockIndex]
@@ -141,12 +116,18 @@ class AvailableCopyBase(ReplicationProtocol):
 
         Available copies are always current, so a batch read stays a
         purely local affair (zero fault-free network traffic, like
-        :meth:`read`); each corrupt block heals individually through the
-        ordinary repair-request path.
+        :meth:`read`); each corrupt block heals individually.
         """
         ordered = list(dict.fromkeys(blocks))
         if not ordered:
             return {}
+        site = self._serving_site(origin)
+        with self._record_batch_read, \
+                self._span("read_batch", origin, batch=len(ordered)):
+            return {b: self._read_local(site, b) for b in ordered}
+
+    def _serving_site(self, origin: SiteId) -> "Site":
+        """The site a read is initiated at; must be an available copy."""
         site = self.require_origin(origin)
         if site.state is not SiteState.AVAILABLE:
             raise SiteDownError(
@@ -154,27 +135,29 @@ class AvailableCopyBase(ReplicationProtocol):
             )
         if self.policy is not None:
             self._policy_gate(self.policy.r)
-        span = (
-            self._span("read_batch", origin=origin, batch=len(ordered))
-            if self._network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_batch_read, span:
-            out: Dict[BlockIndex, bytes] = {}
-            for block in ordered:
-                try:
-                    out[block] = site.read_block(block)
-                except CorruptBlockError:
-                    self.note_corruption(origin, block)
-                    needed = site.block_version(block)
-                    site.store.quarantine(block)
-                    if not self._fetch_for(site, block, needed):
-                        raise CorruptBlockError(
-                            block, origin,
-                            detail="no intact copy reachable to heal from",
-                        ) from None
-                    self.note_heal(origin, block)
-                    out[block] = site.read_block(block)
-            return out
+        return site
+
+    def _read_local(self, site: 'Site', block: BlockIndex) -> bytes:
+        """Read ``block`` from the local copy, healing it if corrupt.
+
+        A corrupt local copy is quarantined and self-healed from any
+        other copy holding at least the local version -- one
+        repair-request/block-transfer exchange.
+        """
+        try:
+            return site.read_block(block)
+        except CorruptBlockError:
+            origin = site.site_id
+            self.note_corruption(origin, block)
+            needed = site.block_version(block)
+            site.store.quarantine(block)
+            if not self._fetch_for(site, block, needed):
+                raise CorruptBlockError(
+                    block, origin,
+                    detail="no intact copy reachable to heal from",
+                ) from None
+            self.note_heal(origin, block)
+            return site.read_block(block)
 
     def _fetch_for(
         self,
@@ -233,7 +216,8 @@ class AvailableCopyBase(ReplicationProtocol):
 
     # -- write helpers ----------------------------------------------------------
 
-    def _require_available_origin(self, origin: SiteId) -> "Site":
+    def _writing_site(self, origin: SiteId) -> "Site":
+        """The site a write is initiated at; must be an available copy."""
         site = self.require_origin(origin)
         if site.state is not SiteState.AVAILABLE:
             if self.available_sites():
@@ -243,29 +227,62 @@ class AvailableCopyBase(ReplicationProtocol):
             raise NoAvailableCopyError(
                 "no available copy exists (recovering from total failure)"
             )
+        if self.policy is not None:
+            self._policy_gate(self.policy.w)
         return site
 
     # -- repair machinery -------------------------------------------------------
 
-    def _probe(self, site: 'Site') -> Dict[SiteId, Tuple[str, Set[SiteId], int]]:
-        """Broadcast a recovery probe; reachable sites report their state.
+    def on_site_repaired(self, site_id: SiteId) -> None:
+        """Figures 5 and 6: probe, then take one of the select's arms."""
+        site = self.site(site_id)
+        start = self.meter.total
+        self._sync_epoch(site)
+        site.set_state(SiteState.COMATOSE)
+        source = self._available_source(site)
+        if source is not None:
+            # Second select arm: some copy is available -- repair from it.
+            self._repair_from(source, site)
+            self._rejoined(source, site)
+        else:
+            # Total failure in progress: stay comatose until the
+            # scheme's recovery rule names a provably current copy.
+            self._resolve_total_failure()
+        self._record_recovery(start)
+
+    def _available_source(self, site: 'Site') -> Optional['Site']:
+        """Broadcast a recovery probe; pick the copy to repair from.
 
         Each reply carries the responder's protocol state, its durable
         was-available set and its scalar version total -- everything the
         recovering site needs to run Figure 5's (or Figure 6's) select.
+        Returns the available responder with the highest version total
+        (lowest id on ties), None when no copy is available.
         """
 
         def answer(node, _payload):
             return (node.state.value, node.get_was_available(),
                     node.version_total())
 
-        return self.network.broadcast_query(
+        replies = self.network.broadcast_query(
             site.site_id,
             request=MessageCategory.RECOVERY_PROBE,
             reply=MessageCategory.RECOVERY_PROBE_REPLY,
             handler=answer,
             payload=None,
         )
+        available = [
+            (total, -s) for s, (state, _w, total) in replies.items()
+            if state == SiteState.AVAILABLE.value
+        ]
+        return self.site(-max(available)[1]) if available else None
+
+    def _rejoined(self, source: 'Site', target: 'Site') -> None:
+        """Scheme bookkeeping after ``target`` repaired from ``source``."""
+
+    @abc.abstractmethod
+    def _resolve_total_failure(self) -> None:
+        """First select arm: the scheme's total-failure recovery rule."""
 
     def _repair_from(self, source: 'Site', target: 'Site') -> None:
         """Version-vector exchange of Figure 5: refresh stale blocks.
@@ -333,6 +350,7 @@ class AvailableCopyBase(ReplicationProtocol):
         """
         self._repair_from(source, joiner)
         self.joining.discard(joiner.site_id)
+        self._rejoined(source, joiner)
 
     # -- invariant (exercised by tests) ------------------------------------------
 
@@ -394,97 +412,14 @@ class AvailableCopyProtocol(AvailableCopyBase):
     # -- write: "write to all available copies" ---------------------------------
 
     def write(self, origin: SiteId, block: BlockIndex, data: bytes) -> int:
-        site = self._require_available_origin(origin)
-        if self.policy is not None:
-            self._policy_gate(self.policy.w)
-        network = self._network
-        span = (
-            self._span("write", origin=origin, block=block)
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_write, span:
-            recipients = {s.site_id for s in self.available_sites()}
-            new_version = site.block_version(block) + 1
-            epoch_tag = self.current_epoch()
-            blob = bytes(data)
-            fenced: List[SiteId] = []
-
-            def apply(node, payload):
-                index, body, version, was_available = payload
-                if node.state is not SiteState.AVAILABLE:
-                    return NO_REPLY
-                if self._epoch_rejects(node, epoch_tag):
-                    # The member has adopted a newer epoch than this
-                    # fan-out carries; applying would let a write commit
-                    # against a membership that no longer holds.
-                    fenced.append(node.site_id)
-                    return NO_REPLY
-                node.write_block(index, body, version)
-                node.set_was_available(was_available)
-                return True
-
-            # The write is broadcast; the recipient set rides along (the
-            # paper's atomic-broadcast assumption, relaxable by delaying
-            # the information one write without extra messages).  Acks
-            # gather into a pooled round (WRITE_ACK is fixed-size, so
-            # untraced runs meter the replies as one batch).
-            rnd = self._borrow_round()
-            try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.WRITE_UPDATE,
-                    MessageCategory.WRITE_ACK,
-                    apply,
-                    (block, blob, new_version, recipients),
-                    rnd,
-                )
-                if site.state is not SiteState.AVAILABLE:
-                    # Crashed mid-fan-out (fault injection): a torn group
-                    # write -- some available copies applied it, the local
-                    # one never will.  Repair supersedes the survivors'
-                    # higher-versioned copies when the origin rejoins.
-                    if self.recorder is not None:
-                        self.recorder.torn_write(block, blob, new_version)
-                    raise SiteDownError(
-                        origin, "failed during the write fan-out"
-                    )
-                # "Write to all available copies" demands every recipient
-                # actually take the update; a still-available site whose
-                # acknowledgement is missing (transient message loss) can
-                # no longer be assumed current and is fenced out of the
-                # group.  Partitioned-away sites are exempt: nothing can
-                # be proven about them, which is exactly why
-                # available-copy schemes are unsafe under partitions
-                # (Section 6).  Ackers are marked in the round's up-mask
-                # so the sweep tests membership without building a set.
-                pos_of = self._pos_of
-                for acker in rnd.ids[:rnd.count]:
-                    rnd.mark(pos_of[acker])
-                for silent in sorted(recipients):
-                    if silent == origin or rnd.is_marked(pos_of[silent]):
-                        continue
-                    if silent in fenced:
-                        continue
-                    if (self.site(silent).state is SiteState.AVAILABLE
-                            and network.can_communicate(origin, silent)):
-                        self.fence(silent)
-            finally:
-                self._release_round(rnd)
-            if fenced:
-                # An epoch-fenced recipient is healthy but refused the
-                # stale-tagged update; "write to all available copies"
-                # did not hold, so the write is torn and must be retried
-                # under the new epoch.
-                self.epoch_fences += len(fenced)
-                if self.recorder is not None:
-                    self.recorder.torn_write(block, blob, new_version)
-                raise StaleEpochError(
-                    f"write of block {block} tagged epoch {epoch_tag} "
-                    f"was fenced by {sorted(set(fenced))}"
-                )
-            site.write_block(block, blob, new_version)
-            site.set_was_available(recipients)
-            return new_version
+        site = self._writing_site(origin)
+        with self._record_write, self._span("write", origin, block):
+            version = site.block_version(block) + 1
+            self._write_all(
+                site, MessageCategory.WRITE_UPDATE,
+                MessageCategory.WRITE_ACK, (block, bytes(data), version),
+            )
+            return version
 
     def write_batch(
         self, origin: SiteId, updates: Mapping[BlockIndex, bytes]
@@ -501,95 +436,89 @@ class AvailableCopyProtocol(AvailableCopyBase):
         blocks = sorted(updates)
         if not blocks:
             return {}
-        site = self._require_available_origin(origin)
-        if self.policy is not None:
-            self._policy_gate(self.policy.w)
+        site = self._writing_site(origin)
+        with self._record_batch_write, \
+                self._span("write_batch", origin, batch=len(blocks)):
+            versions = {b: site.block_version(b) + 1 for b in blocks}
+            self._write_all(
+                site, MessageCategory.BATCH_WRITE_UPDATE,
+                MessageCategory.BATCH_WRITE_ACK,
+                {b: (bytes(updates[b]), versions[b]) for b in blocks},
+            )
+            return versions
+
+    def _write_all(
+        self, site: 'Site', category: MessageCategory,
+        ack: MessageCategory, content,
+    ) -> None:
+        """Fan ``content`` out to all available copies, settle, apply.
+
+        ``content`` is one ``(block, contents, version)`` update or a
+        batch map; the recipient set rides along behind it (the paper's
+        atomic-broadcast assumption, relaxable by delaying the
+        information one write without extra messages).  Acks gather
+        into a pooled round.
+
+        "Write to all available copies" demands every recipient
+        actually take the update.  A still-available site whose
+        acknowledgement is missing (transient message loss) can no
+        longer be assumed current and is fenced out of the group;
+        partitioned-away sites are exempt: nothing can be proven about
+        them, which is exactly why available-copy schemes are unsafe
+        under partitions (Section 6).  A recipient that has adopted a
+        newer epoch than this fan-out carries is healthy but refuses
+        the update -- applying it would let a write commit against a
+        membership that no longer holds -- so the write is torn and
+        must be retried under the new epoch.
+        """
+        origin = site.site_id
         network = self._network
-        span = (
-            self._span("write_batch", origin=origin, batch=len(blocks))
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_batch_write, span:
-            recipients = {s.site_id for s in self.available_sites()}
-            new_versions = {b: site.block_version(b) + 1 for b in blocks}
-            batch = {
-                b: (bytes(updates[b]), new_versions[b]) for b in blocks
-            }
-            epoch_tag = self.current_epoch()
-            fenced: List[SiteId] = []
+        recipients = {s.site_id for s in self.available_sites()}
+        updates = updates_of(content)
+        epoch_tag = self.current_epoch()
+        fenced: List[SiteId] = []
 
-            def apply(node, payload):
-                shipped, was_available = payload
-                if node.state is not SiteState.AVAILABLE:
-                    return NO_REPLY
-                if self._epoch_rejects(node, epoch_tag):
-                    fenced.append(node.site_id)
-                    return NO_REPLY
-                for index in sorted(shipped):
-                    blob, version = shipped[index]
-                    node.write_block(index, blob, version)
-                node.set_was_available(was_available)
-                return True
+        def apply(node, _payload):
+            if node.state is not SiteState.AVAILABLE:
+                return NO_REPLY
+            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+                fenced.append(node.site_id)
+                return NO_REPLY
+            for index, blob, version in updates:
+                node.write_block(index, blob, version)
+            node.set_was_available(recipients)
+            return True
 
-            rnd = self._borrow_round()
-            try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.BATCH_WRITE_UPDATE,
-                    MessageCategory.BATCH_WRITE_ACK,
-                    apply,
-                    (batch, recipients),
-                    rnd,
+        rnd = self._borrow_round()
+        try:
+            network.broadcast_round(
+                origin, category, ack, apply,
+                (content, recipients) if type(content) is dict
+                else (*content, recipients),
+                rnd,
+            )
+            if site.state is not SiteState.FAILED:
+                silent = recipients.difference(
+                    rnd.ids[:rnd.count], fenced, (origin,)
                 )
-                if site.state is not SiteState.AVAILABLE:
-                    # Crashed mid-fan-out: every block of the batch is
-                    # torn the same way a single-block write would be.
-                    if self.recorder is not None:
-                        for b in blocks:
-                            self.recorder.torn_write(
-                                b, batch[b][0], new_versions[b]
-                            )
-                    raise SiteDownError(
-                        origin, "failed during the batched write fan-out"
-                    )
-                pos_of = self._pos_of
-                for acker in rnd.ids[:rnd.count]:
-                    rnd.mark(pos_of[acker])
-                for silent in sorted(recipients):
-                    if silent == origin or rnd.is_marked(pos_of[silent]):
-                        continue
-                    if silent in fenced:
-                        continue
-                    if (self.site(silent).state is SiteState.AVAILABLE
-                            and network.can_communicate(origin, silent)):
-                        self.fence(silent)
-            finally:
-                self._release_round(rnd)
-            if fenced:
-                self.epoch_fences += len(fenced)
-                if self.recorder is not None:
-                    for b in blocks:
-                        self.recorder.torn_write(
-                            b, batch[b][0], new_versions[b]
-                        )
-                raise StaleEpochError(
-                    f"batched write of {len(blocks)} blocks tagged "
-                    f"epoch {epoch_tag} was fenced by "
-                    f"{sorted(set(fenced))}"
-                )
-            for b in blocks:
-                site.write_block(b, batch[b][0], new_versions[b])
-            site.set_was_available(recipients)
-            return new_versions
+                for peer in sorted(silent):
+                    if (self.site(peer).state is SiteState.AVAILABLE
+                            and network.can_communicate(origin, peer)):
+                        self.fence(peer)
+        finally:
+            self._release_round(rnd)
+        self._settle_write(site, updates, fenced, epoch_tag, short=fenced)
+        for block, blob, version in updates:
+            site.write_block(block, blob, version)
+        site.set_was_available(recipients)
 
     # -- dynamic membership ---------------------------------------------------
 
-    def finish_join(self, source: 'Site', joiner: 'Site') -> None:
-        super().finish_join(source, joiner)
+    def _rejoined(self, source: 'Site', target: 'Site') -> None:
         if self._track_failures:
             self._refresh_was_available()
         else:
-            self._exchange_was_available(source, joiner)
+            self._exchange_was_available(source, target)
 
     def commit_view_change(self, view: 'View') -> None:
         """Close the window and re-anchor was-available bookkeeping.
@@ -629,31 +558,6 @@ class AvailableCopyProtocol(AvailableCopyBase):
             site.set_was_available(live)
 
     # -- repair: Figure 5 ----------------------------------------------------------
-
-    def on_site_repaired(self, site_id: SiteId) -> None:
-        site = self.site(site_id)
-        start = self.meter.total
-        self._sync_epoch(site)
-        site.set_state(SiteState.COMATOSE)
-        replies = self._probe(site)
-        available = [
-            (s, total)
-            for s, (state, _w, total) in replies.items()
-            if state == SiteState.AVAILABLE.value
-        ]
-        if available:
-            # Second select arm: some copy is available -- repair from it.
-            best = max(available, key=lambda item: (item[1], -item[0]))[0]
-            self._repair_from(self.site(best), site)
-            if self._track_failures:
-                self._refresh_was_available()
-            else:
-                self._exchange_was_available(self.site(best), site)
-        else:
-            # Total failure in progress: stay comatose until the closure
-            # of some stored was-available set has fully recovered.
-            self._resolve_total_failure()
-        self._record_recovery(start)
 
     def _exchange_was_available(self, source: 'Site', target: 'Site') -> None:
         """Figure 5's tail: ``W_s <- W_t + {s}``, mirrored at ``t``.

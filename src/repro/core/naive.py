@@ -25,13 +25,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..device.site import Site
     from ..membership.view import View
-from ..errors import SiteDownError, StaleEpochError
 from ..net.message import MessageCategory
 from ..net.network import Network
-from ..obs.trace import _NULL_SPAN
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .available_copy import AvailableCopyBase
 from .policy import QuorumPolicy
+from .protocol import updates_of
 
 __all__ = ["NaiveAvailableCopyProtocol"]
 
@@ -61,78 +60,15 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
     def write(self, origin: SiteId, block: BlockIndex, data: bytes) -> int:
         """Broadcast the new block to all sites; reliable delivery does
         the rest (Section 5.1: one message on a multicast network,
-        ``n - 1`` with unique addressing).
-
-        The scheme has no acknowledgements, so enforcing "every
-        available copy takes every write" falls to the transport's
-        delivery receipts: an available site the reliable broadcast
-        could not deliver to (transient message loss, injected faults)
-        is fenced -- treated as failed until it runs the ordinary
-        repair procedure."""
-        site = self._require_available_origin(origin)
-        if self.policy is not None:
-            self._policy_gate(self.policy.w)
-        network = self._network
-        span = (
-            self._span("write", origin=origin, block=block)
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_write, span:
-            new_version = site.block_version(block) + 1
-            epoch_tag = self.current_epoch()
-            blob = bytes(data)
-            fenced: List[SiteId] = []
-
-            def apply(node, payload):
-                index, body, version = payload
-                if node.state is not SiteState.AVAILABLE:
-                    return
-                if self._epoch_rejects(node, epoch_tag):
-                    fenced.append(node.site_id)
-                    return
-                node.write_block(index, body, version)
-
-            delivered = network.broadcast_oneway(
-                src=origin,
-                category=MessageCategory.WRITE_UPDATE,
-                handler=apply,
-                payload=(block, blob, new_version),
+        ``n - 1`` with unique addressing)."""
+        site = self._writing_site(origin)
+        with self._record_write, self._span("write", origin, block):
+            version = site.block_version(block) + 1
+            self._write_all(
+                site, MessageCategory.WRITE_UPDATE,
+                (block, bytes(data), version),
             )
-            if site.state is SiteState.FAILED:
-                # Crashed mid-fan-out (fault injection): a torn write.
-                if self.recorder is not None:
-                    self.recorder.torn_write(block, blob, new_version)
-                raise SiteDownError(origin, "failed during the write fan-out")
-            # Delivery receipts go into a pooled round's up-mask so the
-            # fencing sweep tests membership by position instead of
-            # scanning the receipt list per peer.
-            rnd = self._borrow_round()
-            try:
-                pos_of = self._pos_of
-                for recipient in delivered:
-                    rnd.mark(pos_of[recipient])
-                for peer in self.available_sites():
-                    pid = peer.site_id
-                    if (pid != origin
-                            and not rnd.is_marked(pos_of[pid])
-                            and pid not in fenced
-                            and network.can_communicate(origin, pid)):
-                        self.fence(pid)
-            finally:
-                self._release_round(rnd)
-            if fenced:
-                # Epoch-fenced recipients refused the stale-tagged
-                # update; the write is torn and must retry under the
-                # new epoch rather than leave an available copy stale.
-                self.epoch_fences += len(fenced)
-                if self.recorder is not None:
-                    self.recorder.torn_write(block, blob, new_version)
-                raise StaleEpochError(
-                    f"write of block {block} tagged epoch {epoch_tag} "
-                    f"was fenced by {sorted(set(fenced))}"
-                )
-            site.write_block(block, blob, new_version)
-            return new_version
+            return version
 
     def write_batch(
         self, origin: SiteId, updates: Mapping[BlockIndex, bytes]
@@ -147,77 +83,58 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         blocks = sorted(updates)
         if not blocks:
             return {}
-        site = self._require_available_origin(origin)
-        if self.policy is not None:
-            self._policy_gate(self.policy.w)
-        network = self._network
-        span = (
-            self._span("write_batch", origin=origin, batch=len(blocks))
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_batch_write, span:
-            new_versions = {b: site.block_version(b) + 1 for b in blocks}
-            batch = {
-                b: (bytes(updates[b]), new_versions[b]) for b in blocks
-            }
-            epoch_tag = self.current_epoch()
-            fenced: List[SiteId] = []
-
-            def apply(node, payload):
-                if node.state is not SiteState.AVAILABLE:
-                    return
-                if self._epoch_rejects(node, epoch_tag):
-                    fenced.append(node.site_id)
-                    return
-                for index in sorted(payload):
-                    blob, version = payload[index]
-                    node.write_block(index, blob, version)
-
-            delivered = network.broadcast_oneway(
-                src=origin,
-                category=MessageCategory.BATCH_WRITE_UPDATE,
-                handler=apply,
-                payload=batch,
+        site = self._writing_site(origin)
+        with self._record_batch_write, \
+                self._span("write_batch", origin, batch=len(blocks)):
+            versions = {b: site.block_version(b) + 1 for b in blocks}
+            self._write_all(
+                site, MessageCategory.BATCH_WRITE_UPDATE,
+                {b: (bytes(updates[b]), versions[b]) for b in blocks},
             )
-            if site.state is SiteState.FAILED:
-                # Crashed mid-fan-out: every block of the batch is torn.
-                if self.recorder is not None:
-                    for b in blocks:
-                        self.recorder.torn_write(
-                            b, batch[b][0], new_versions[b]
-                        )
-                raise SiteDownError(
-                    origin, "failed during the batched write fan-out"
-                )
-            rnd = self._borrow_round()
-            try:
-                pos_of = self._pos_of
-                for recipient in delivered:
-                    rnd.mark(pos_of[recipient])
-                for peer in self.available_sites():
-                    pid = peer.site_id
-                    if (pid != origin
-                            and not rnd.is_marked(pos_of[pid])
-                            and pid not in fenced
-                            and network.can_communicate(origin, pid)):
-                        self.fence(pid)
-            finally:
-                self._release_round(rnd)
-            if fenced:
-                self.epoch_fences += len(fenced)
-                if self.recorder is not None:
-                    for b in blocks:
-                        self.recorder.torn_write(
-                            b, batch[b][0], new_versions[b]
-                        )
-                raise StaleEpochError(
-                    f"batched write of {len(blocks)} blocks tagged "
-                    f"epoch {epoch_tag} was fenced by "
-                    f"{sorted(set(fenced))}"
-                )
-            for b in blocks:
-                site.write_block(b, batch[b][0], new_versions[b])
-            return new_versions
+            return versions
+
+    def _write_all(
+        self, site: 'Site', category: MessageCategory, payload
+    ) -> None:
+        """Broadcast ``payload`` unacknowledged, settle, apply locally.
+
+        The scheme has no acknowledgements, so enforcing "every
+        available copy takes every write" falls to the transport's
+        delivery receipts: an available site the reliable broadcast
+        could not deliver to (transient message loss, injected faults)
+        is fenced -- treated as failed until it runs the ordinary
+        repair procedure.  A recipient that has adopted a newer epoch
+        than this fan-out carries refuses the update; the write is then
+        torn and must retry under the new epoch rather than leave an
+        available copy stale.
+        """
+        origin = site.site_id
+        network = self._network
+        updates = updates_of(payload)
+        epoch_tag = self.current_epoch()
+        fenced: List[SiteId] = []
+
+        def apply(node, _payload):
+            if node.state is not SiteState.AVAILABLE:
+                return
+            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+                fenced.append(node.site_id)
+                return
+            for index, blob, version in updates:
+                node.write_block(index, blob, version)
+
+        delivered = network.broadcast_oneway(
+            src=origin, category=category, handler=apply, payload=payload
+        )
+        if site.state is not SiteState.FAILED:
+            heard = {origin, *delivered}
+            for peer in self.available_sites():
+                if (peer.site_id not in heard
+                        and network.can_communicate(origin, peer.site_id)):
+                    self.fence(peer.site_id)
+        self._settle_write(site, updates, fenced, epoch_tag, short=fenced)
+        for block, blob, version in updates:
+            site.write_block(block, blob, version)
 
     # -- dynamic membership ---------------------------------------------------
 
@@ -242,25 +159,6 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         self.site(site_id).crash()
 
     # -- repair: Figure 6 ----------------------------------------------------------
-
-    def on_site_repaired(self, site_id: SiteId) -> None:
-        site = self.site(site_id)
-        start = self.meter.total
-        self._sync_epoch(site)
-        site.set_state(SiteState.COMATOSE)
-        replies = self._probe(site)
-        available = [
-            (s, total)
-            for s, (state, _w, total) in replies.items()
-            if state == SiteState.AVAILABLE.value
-        ]
-        if available:
-            # Second select arm: repair from any available copy.
-            best = max(available, key=lambda item: (item[1], -item[0]))[0]
-            self._repair_from(self.site(best), site)
-        else:
-            self._resolve_total_failure()
-        self._record_recovery(start)
 
     def _resolve_total_failure(self) -> None:
         """First select arm of Figure 6: wait for *all* sites.

@@ -23,7 +23,7 @@ number of repair events reproduces the paper's per-recovery costs.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -31,15 +31,38 @@ if TYPE_CHECKING:
     from ..device.site import Site
     from ..membership.view import View
     from .policy import QuorumPolicy
-from ..errors import MembershipError, SiteDownError
+from ..errors import (
+    MembershipError,
+    QuorumNotReachedError,
+    SiteDownError,
+    StaleEpochError,
+)
 from ..net.network import Network
-from ..obs.trace import Span
+from ..obs.trace import _NULL_SPAN, Span
 from ..net.traffic import TrafficMeter
 from ..sim.failures import FailureRepairProcess
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .round import QuorumRound
 
-__all__ = ["ReplicationProtocol"]
+__all__ = ["ReplicationProtocol", "Update", "updates_of"]
+
+#: One block of a write fan-out: ``(block, contents, version)``.
+Update = Tuple[BlockIndex, bytes, int]
+
+
+def updates_of(payload: Any) -> Sequence[Update]:
+    """The updates a write fan-out message carries, in apply order.
+
+    WRITE_UPDATE carries one ``(block, contents, version)`` tuple
+    (available copy appends the recipient set); BATCH_WRITE_UPDATE a
+    ``{block: (contents, version)}`` map applied in ascending block
+    order.  The two wire shapes are all that differs between a
+    single-block and a batched fan-out, so every fan-out reads its
+    message through this one function (once, for all recipients).
+    """
+    if type(payload) is dict:
+        return [(b, *payload[b]) for b in sorted(payload)]
+    return (payload[:3],)
 
 
 class ReplicationProtocol(abc.ABC):
@@ -53,12 +76,6 @@ class ReplicationProtocol(abc.ABC):
             raise ValueError(f"duplicate site ids in replica group: {ids}")
         self._sites: Dict[SiteId, 'Site'] = {s.site_id: s for s in sites}
         self._order: List[SiteId] = ids
-        #: site id -> position in ``_order``; maintained by
-        #: adopt/expel (and the voting view commit, which reorders
-        #: ``_order``).  The pooled round's up-mask is indexed by it.
-        self._pos_of: Dict[SiteId, int] = {
-            s: i for i, s in enumerate(ids)
-        }
         self._network = network
         for site in sites:
             network.attach(site)
@@ -153,35 +170,46 @@ class ReplicationProtocol(abc.ABC):
         """The span tracer (the network's; a no-op unless wired)."""
         return self._network.tracer
 
-    def _span(self, op: str, **attrs):
+    def _span(
+        self,
+        op: str,
+        origin: SiteId,
+        block: Optional[BlockIndex] = None,
+        batch: Optional[int] = None,
+        local: bool = False,
+    ):
         """Open a ``protocol.<op>`` span tagged with this scheme.
 
         The concrete protocols bracket each read/write/batch operation
-        with it; outcomes (quorum misses, down origins, corruption) are
-        stamped automatically from the raised exception.  The scheme
-        tag is cached at construction: ``self.scheme.value`` costs two
-        Python-level descriptor calls per span otherwise.
+        with it (``block`` for single-block operations, ``batch`` = the
+        block count for batched ones, ``local`` for reads served
+        without a round); outcomes (quorum misses, down origins,
+        corruption) are stamped automatically from the raised
+        exception.  Arguments are positional so that the untraced path
+        -- one attribute test -- builds no kwargs dict per operation.
+        The scheme tag is cached at construction: ``self.scheme.value``
+        costs two Python-level descriptor calls per span otherwise.
         """
         tracer = self._network._tracer
-        clock = tracer._clock if tracer.enabled else None
+        if not tracer.enabled:
+            return _NULL_SPAN
+        attrs = {"scheme": self._scheme_value, "origin": origin}
+        if block is not None:
+            attrs["block"] = block
+        if batch is not None:
+            attrs["batch"] = batch
+        if local:
+            attrs["local"] = True
+        clock = tracer._clock
         if clock is None:
-            # Disabled or tick-clocked tracer: the method path (which
-            # no-ops or advances the tick respectively).
-            return tracer.span(
-                f"protocol.{op}",
-                layer="protocol",
-                scheme=self._scheme_value,
-                **attrs,
-            )
+            # Tick-clocked tracer: the method path advances the tick.
+            return tracer.span(f"protocol.{op}", layer="protocol", **attrs)
         # Clocked tracer: build the record inline -- same id, name,
         # timestamp and attrs ``Tracer.span`` would write, minus the
         # call frame, the layer re-validation and the kwargs repack.
-        span_attrs = {"scheme": self._scheme_value}
-        if attrs:
-            span_attrs.update(attrs)
         record = [
             tracer._next_id, f"protocol.{op}", "protocol",
-            float(clock()), span_attrs, None, "",
+            float(clock()), attrs, None, "",
         ]
         tracer._next_id = record[0] + 1
         tracer._records.append(record)
@@ -270,26 +298,23 @@ class ReplicationProtocol(abc.ABC):
 
     # -- batched operations (the vectorized I/O pipeline) ---------------------
 
+    @abc.abstractmethod
     def read_batch(
         self, origin: SiteId, blocks: Sequence[BlockIndex]
     ) -> Dict[BlockIndex, bytes]:
         """Read a whole batch of blocks on behalf of ``origin``.
 
-        Semantically equivalent to calling :meth:`read` once per block,
-        but implementations amortize the consistency machinery: the
-        three concrete protocols collect versions for every block in
-        ONE round and refresh stale copies with ONE scatter-gather
-        transfer per source, so an n-block batch costs one quorum
-        round instead of n.  Per-block guarantees (quorum intersection,
-        read-latest-write) are unchanged; nothing is promised *across*
-        blocks.  The base implementation loops, so every protocol is
-        batch-capable by construction.
+        Semantically equivalent to calling :meth:`read` once per
+        distinct block, but implementations amortize the consistency
+        machinery: the three concrete protocols collect versions for
+        every block in ONE round and refresh stale copies with ONE
+        scatter-gather transfer per source, so an n-block batch costs
+        one quorum round instead of n.  Per-block guarantees (quorum
+        intersection, read-latest-write) are unchanged; nothing is
+        promised *across* blocks.
         """
-        return {
-            block: self.read(origin, block)
-            for block in dict.fromkeys(blocks)
-        }
 
+    @abc.abstractmethod
     def write_batch(
         self, origin: SiteId, updates: Mapping[BlockIndex, bytes]
     ) -> Dict[BlockIndex, int]:
@@ -303,13 +328,9 @@ class ReplicationProtocol(abc.ABC):
         if the blocks had been written one at a time.  A mid-fan-out
         origin crash tears every block of the batch the same way a
         single-block write is torn -- each block individually remains
-        consistent; no cross-block atomicity is claimed.  The base
-        implementation loops in ascending index order.
+        consistent; no cross-block atomicity is claimed.  Blocks are
+        applied in ascending index order.
         """
-        return {
-            block: self.write(origin, block, updates[block])
-            for block in sorted(updates)
-        }
 
     @abc.abstractmethod
     def is_available(self) -> bool:
@@ -356,6 +377,14 @@ class ReplicationProtocol(abc.ABC):
             return self._pending_view.epoch
         return self._view.epoch if self._view is not None else 0
 
+    def _configuration_changed(self) -> None:
+        """Hook run after every change of membership or thresholds.
+
+        Called by the five transitions below; a protocol whose state is
+        compiled per configuration (voting's quorum decider) rebuilds
+        it here, so no operation ever re-derives it.
+        """
+
     def install_view(self, view: 'View') -> None:
         """Adopt ``view`` as the group's initial committed view.
 
@@ -372,6 +401,7 @@ class ReplicationProtocol(abc.ABC):
         self._pending_view = None
         for site in self.operational_sites():
             site.set_epoch(view.epoch)
+        self._configuration_changed()
 
     def begin_view_change(self, new_view: 'View') -> None:
         """Open the transition window toward ``new_view``.
@@ -398,6 +428,7 @@ class ReplicationProtocol(abc.ABC):
         self._pending_view = new_view
         for site in self.operational_sites():
             site.set_epoch(new_view.epoch)
+        self._configuration_changed()
 
     def commit_view_change(self, view: 'View') -> None:
         """Make ``view`` the committed view and close the window.
@@ -416,6 +447,7 @@ class ReplicationProtocol(abc.ABC):
         for site in self.operational_sites():
             site.set_epoch(view.epoch)
         self.joining.clear()
+        self._configuration_changed()
 
     def adopt_site(self, site: 'Site') -> None:
         """Attach a joining site to the group and its network.
@@ -436,10 +468,10 @@ class ReplicationProtocol(abc.ABC):
                 f"{(self.num_blocks, self.block_size)}"
             )
         self._sites[site.site_id] = site
-        self._pos_of[site.site_id] = len(self._order)
         self._order.append(site.site_id)
         self._network.attach(site)
         site.set_epoch(self.current_epoch())
+        self._configuration_changed()
 
     def expel_site(self, site_id: SiteId) -> None:
         """Remove a member from the group and detach it from the network."""
@@ -449,9 +481,9 @@ class ReplicationProtocol(abc.ABC):
             raise MembershipError("cannot expel the last member")
         del self._sites[site_id]
         self._order.remove(site_id)
-        self._pos_of = {s: i for i, s in enumerate(self._order)}
         self._network.detach(site_id)
         self.joining.discard(site_id)
+        self._configuration_changed()
 
     def _sync_epoch(self, site: 'Site') -> None:
         """Bring a repairing site's durable epoch current.
@@ -463,18 +495,52 @@ class ReplicationProtocol(abc.ABC):
         if self._view is not None:
             site.set_epoch(self.current_epoch())
 
-    def _epoch_rejects(self, node, epoch_tag: int) -> bool:
-        """Whether ``node`` fences a message tagged ``epoch_tag``.
+    def _settle_write(
+        self,
+        site: 'Site',
+        updates: Sequence[Update],
+        fenced: Sequence[SiteId],
+        epoch_tag: int,
+        short: Any,
+    ) -> None:
+        """Raise unless the fan-out of ``updates`` from ``site`` stands.
 
-        True when fencing is enabled and the node has durably adopted a
-        newer epoch than the message carries -- i.e. a view change
-        opened between the operation's start and this delivery.
+        Every write handler fences, view or no view: it refuses an
+        update (and adds itself to ``fenced``) when
+        :attr:`epoch_fencing` is on and the node has durably adopted a
+        newer epoch than ``epoch_tag`` -- i.e. a view change opened
+        between the operation's start and this delivery.  A static
+        group lives in epoch 0 throughout, so nothing is fenced there.
+
+        A write is *torn* -- some members applied it, the group as a
+        whole did not -- when the origin crashed mid-fan-out (fault
+        injection; its local copy never takes the update) or when what
+        was applied falls ``short``: for voting that is the write
+        quorum's ``(gathered, required)`` shortfall, for the
+        write-to-all-available schemes any fenced member at all (they
+        pass ``fenced`` itself).  Every block of the fan-out is
+        reported torn individually; the higher versions left at
+        whichever sites took them supersede stale copies through the
+        ordinary repair paths.
         """
-        return (
-            self.epoch_fencing
-            and self._view is not None
-            and node.get_epoch() > epoch_tag
-        )
+        if fenced:
+            self.epoch_fences += len(fenced)
+        crashed = site.state is SiteState.FAILED
+        if not (crashed or short):
+            return
+        if self.recorder is not None:
+            for block, blob, version in updates:
+                self.recorder.torn_write(block, blob, version)
+        if crashed:
+            raise SiteDownError(
+                site.site_id, "failed during the write fan-out"
+            )
+        if fenced:
+            raise StaleEpochError(
+                f"write of blocks {[u[0] for u in updates]} tagged "
+                f"epoch {epoch_tag} was fenced by {sorted(set(fenced))}"
+            )
+        raise QuorumNotReachedError(*short)
 
     # -- simulator wiring -----------------------------------------------------
 

@@ -22,11 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterable, Optional, Sequence, Tuple
 
 from ..errors import QuorumSpecError
+from ..types import SiteId
 
-__all__ = ["QuorumSpec", "TIE_BREAKER_WEIGHT"]
+__all__ = [
+    "QuorumSpec",
+    "QuorumDecider",
+    "CountDecider",
+    "WeightDecider",
+    "JointDecider",
+    "TIE_BREAKER_WEIGHT",
+]
 
 #: Extra weight granted to site 0 of an even-sized equal-weight group.
 #: Exactly representable in binary floating point, so threshold
@@ -181,3 +189,131 @@ class QuorumSpec:
     def write_available(self, up_indices: Iterable[int]) -> bool:
         """Whether the up sites can form a write quorum."""
         return self.meets_write(self.gathered_weight(up_indices))
+
+
+#: ``(gathered, required)`` -- the arguments of
+#: :class:`~repro.errors.QuorumNotReachedError`.
+Shortfall = Tuple[float, float]
+
+
+class QuorumDecider:
+    """The quorum test of one configuration, compiled once.
+
+    A voting group's membership and thresholds change only at
+    construction and at the membership transitions, so the protocol
+    compiles the test there and every operation asks the same three
+    questions of it.  ``voters`` is a collection of site ids -- in
+    practice the ``ids[:count]`` slice of a quorum round; ids outside
+    the compiled membership (a joiner adopted ahead of the view commit)
+    carry no voice and a repeated id counts once.  A shortfall is the
+    ``(gathered, required)`` pair of the threshold that was missed,
+    None when the voters form a quorum.
+
+    Subclasses store their read and write thresholds in ``_read`` /
+    ``_write`` and implement ``_shortfall(voters, threshold)``.
+    """
+
+    __slots__ = ("_read", "_write")
+
+    def read_shortfall(
+        self, voters: Collection[SiteId]
+    ) -> Optional[Shortfall]:
+        return self._shortfall(voters, self._read)
+
+    def write_shortfall(
+        self, voters: Collection[SiteId]
+    ) -> Optional[Shortfall]:
+        return self._shortfall(voters, self._write)
+
+    def read_available(self, up: Collection[SiteId]) -> bool:
+        """Whether the ``up`` sites can form a read quorum."""
+        return self._shortfall(up, self._read) is None
+
+    def _shortfall(
+        self, voters: Collection[SiteId], threshold: Any
+    ) -> Optional[Shortfall]:
+        raise NotImplementedError
+
+    @staticmethod
+    def for_spec(
+        sites: Sequence[SiteId], spec: QuorumSpec
+    ) -> "QuorumDecider":
+        """The decider of ``spec`` with ``sites[i]`` carrying
+        ``spec.weights[i]``: a count compare when every weight is 1
+        (``n > q`` iff ``n >= floor(q) + 1``), a weight sum otherwise
+        (including the even-group tie-breaker weight)."""
+        if spec.unit_weights:
+            return CountDecider(
+                sites,
+                (spec.read_count_need, spec.read_quorum),
+                (spec.write_count_need, spec.write_quorum),
+            )
+        return WeightDecider(sites, spec)
+
+
+class CountDecider(QuorumDecider):
+    """``need`` distinct members must be among the voters.
+
+    Each threshold is a ``(need, required)`` pair: the integer compared
+    against and the float reported on a shortfall.  An (RF, R, W)
+    policy compiles to ``(R, float(R))`` / ``(W, float(W))``, a
+    unit-weight spec to ``(floor(q) + 1, q)``.
+    """
+
+    __slots__ = ("_members",)
+
+    def __init__(
+        self,
+        members: Iterable[SiteId],
+        read: Tuple[int, float],
+        write: Tuple[int, float],
+    ) -> None:
+        self._members = frozenset(members)
+        self._read = read
+        self._write = write
+
+    def _shortfall(self, voters, threshold):
+        gathered = len(self._members.intersection(voters))
+        if gathered < threshold[0]:
+            return float(gathered), threshold[1]
+        return None
+
+
+class WeightDecider(QuorumDecider):
+    """The gathered weight must strictly exceed the spec's threshold."""
+
+    __slots__ = ("_votes",)
+
+    def __init__(self, sites: Sequence[SiteId], spec: QuorumSpec) -> None:
+        #: (site, weight) in member order, so weights are summed in the
+        #: order ``QuorumSpec.gathered_weight`` sums them.
+        self._votes = tuple(zip(sites, spec.weights))
+        self._read = spec.read_quorum
+        self._write = spec.write_quorum
+
+    def _shortfall(self, voters, threshold):
+        heard = set(voters)
+        gathered = sum(w for s, w in self._votes if s in heard)
+        return None if gathered > threshold else (gathered, threshold)
+
+
+class JointDecider(QuorumDecider):
+    """Both views of a transition window must be satisfied.
+
+    The voters must form a quorum under the old AND the new view, so
+    an operation intersects the write quorum of the latest write no
+    matter which side of the epoch boundary that write landed on.  The
+    shortfall reported is that of the first view missed.
+    """
+
+    __slots__ = ("_old", "_new")
+
+    def __init__(self, old: QuorumDecider, new: QuorumDecider) -> None:
+        self._old = old
+        self._new = new
+        self._read = (old._read, new._read)
+        self._write = (old._write, new._write)
+
+    def _shortfall(self, voters, threshold):
+        return (self._old._shortfall(voters, threshold[0])
+                or self._new._shortfall(voters, threshold[1]))

@@ -1,31 +1,22 @@
 """Pooled, pre-sized per-operation quorum round state.
 
-Every steady-state protocol operation used to materialise a fresh
-``Dict[SiteId, ...]`` of replies (and, for batched rounds, nested dicts
-per block).  A :class:`QuorumRound` replaces those with two parallel,
-position-indexed lists -- ``ids`` (who replied, in arrival order) and
-``values`` (what they replied) -- plus a site-position *up-mask* used by
-the fan-out fencing loops.  Rounds are pooled per protocol instance
+A :class:`QuorumRound` holds the replies of one fan-out as two
+parallel lists -- ``ids`` (who replied, in arrival order) and ``values``
+(what they replied) -- plus the running maximum ``top`` of integer
+replies (version numbers).  Rounds are pooled per protocol instance
 (:meth:`repro.core.protocol.ReplicationProtocol._borrow_round`) and
-reset by bumping a generation counter instead of reallocating, so the
-hot path performs no per-operation allocation beyond what the reply
-payloads themselves require.
+reset by rewinding ``count`` instead of reallocating, so an operation
+allocates nothing for its reply table.
 
-Equivalence with the dict-based rounds is structural, not coincidental:
-
-* replies are appended in network arrival order and the origin's own
-  vote is appended last, exactly the insertion order the old reply
-  dicts had, so :meth:`as_dict` reproduces them key-for-key;
-* the running ``top`` maximum starts at 0, which matches
-  ``max(versions.values())`` because version numbers are never
-  negative and every round contains at least the origin's vote;
-* the up-mask is compared against the current generation, so a stale
-  mark from a previous round can never read as "replied".
+Replies are appended in network arrival order and the origin's own
+vote is appended last; ``top`` starts at 0, which equals the maximum
+over the votes because version numbers are never negative and every
+round contains at least the origin's vote.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set
+from typing import Any, List
 
 from ..types import SiteId
 
@@ -35,39 +26,31 @@ __all__ = ["QuorumRound"]
 class QuorumRound:
     """Reusable reply table for one quorum round.
 
-    Lifecycle: ``begin(positions)`` resets the round (O(1) -- it bumps
-    ``generation`` and rewinds ``count``; the backing lists keep their
-    high-water capacity), ``add(site_id, value)`` appends one reply,
-    ``mark(pos)`` / ``is_marked(pos)`` maintain the site-position
-    up-mask for fencing loops.  Only the first ``count`` entries of
-    ``ids`` / ``values`` are meaningful; older slots hold stale garbage
-    by design.
+    ``begin(positions)`` resets the round (the backing lists keep their
+    high-water capacity) and ``add(site_id, value)`` appends one reply.
+    Only the first ``count`` entries of ``ids`` / ``values`` are
+    meaningful; older slots hold stale garbage by design.
     """
 
-    __slots__ = ("ids", "values", "count", "top", "generation", "_marks")
+    __slots__ = ("ids", "values", "count", "top")
 
     def __init__(self) -> None:
         self.ids: List[SiteId] = []
         self.values: List[Any] = []
         self.count = 0
         self.top = 0
-        self.generation = 0
-        self._marks: List[int] = []
 
     def begin(self, positions: int) -> None:
-        """Start a new round with ``positions`` up-mask slots.
+        """Start a new round for a group of ``positions`` sites.
 
         The reply lists are pre-extended to ``positions`` here (a round
         never holds more entries than the group has members), so
         :meth:`add` is a branch-free slot assignment.
         """
-        self.generation += 1
         self.count = 0
         self.top = 0
-        marks = self._marks
-        if len(marks) < positions:
-            grow = positions - len(marks)
-            marks.extend([0] * grow)
+        grow = positions - len(self.ids)
+        if grow > 0:
             self.ids.extend([0] * grow)
             self.values.extend([None] * grow)
 
@@ -84,26 +67,3 @@ class QuorumRound:
         self.count = i + 1
         if type(value) is int and value > self.top:
             self.top = value
-
-    # -- up-mask -----------------------------------------------------------
-
-    def mark(self, pos: int) -> None:
-        """Mark the site at group position ``pos`` as heard-from."""
-        self._marks[pos] = self.generation
-
-    def is_marked(self, pos: int) -> bool:
-        """Whether position ``pos`` was marked in *this* round."""
-        return self._marks[pos] == self.generation
-
-    # -- views -------------------------------------------------------------
-
-    def id_set(self) -> Set[SiteId]:
-        """The distinct repliers of this round."""
-        return set(self.ids[: self.count])
-
-    def as_dict(self) -> Dict[SiteId, Any]:
-        """Reply table as a dict, in arrival (insertion) order."""
-        count = self.count
-        ids = self.ids
-        values = self.values
-        return {ids[i]: values[i] for i in range(count)}

@@ -64,22 +64,20 @@ from ..errors import (
     NoCurrentDataCopyError,
     QuorumNotReachedError,
     SiteDownError,
-    StaleEpochError,
 )
 from ..net.message import MessageCategory
 from ..net.network import Network
-from ..obs.trace import _NULL_SPAN
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
-from .quorum import QuorumSpec
-from .protocol import ReplicationProtocol
+from .quorum import CountDecider, JointDecider, QuorumDecider, QuorumSpec
+from .protocol import ReplicationProtocol, updates_of
+from .round import QuorumRound
 
 __all__ = ["VotingProtocol"]
 
 
-# Module-level message handlers.  Hoisted out of the per-operation
-# methods so the hot path does not rebuild a closure object per call;
-# everything they need rides in the payload.
+# Module-level message handlers: everything they need rides in the
+# payload, so no operation builds a closure for them.
 
 def _vote_handler(node, payload):
     """VOTE_REQUEST: answer with the voter's version of the block.
@@ -104,44 +102,50 @@ def _park_hint_handler(node, payload):
     node.meta.setdefault("hints", []).append(payload)
 
 
-def _apply_hint_handler(node, payload):
-    """HINT (replay): apply a parked update unless already superseded."""
-    _, index, blob, version = payload
+def _apply_if_newer(node, payload):
+    """HINT (replay) and READ_REPAIR: apply the carried copy unless the
+    node already holds a newer one.  Both payloads end in ``(block,
+    contents, version)``; a hint is prefixed with its owner."""
+    index, blob, version = payload[-3:]
     if node.block_version(index) < version:
         node.write_block(index, blob, version)
 
 
-def _read_repair_handler(node, payload):
-    """READ_REPAIR: apply the pushed newest copy unless superseded."""
-    index, blob, version = payload
-    if node.block_version(index) < version:
+def _store_handler(node, payload):
+    """BLOCK_TRANSFER / BATCH_BLOCK_TRANSFER: store the pushed copies."""
+    for index, blob, version in updates_of(payload):
         node.write_block(index, blob, version)
 
 
-def _apply_write_handler(node, payload):
-    """WRITE_UPDATE (static group): apply the pushed version.
+#: ``(request, reply, handler)`` of the two vote-collection rounds.  A
+#: single-block vote is a version number, a batched one a ``{block:
+#: version}`` map; apart from the write fan-out's category these are
+#: the only things a batch changes on the wire.
+_SINGLE = (
+    MessageCategory.VOTE_REQUEST,
+    MessageCategory.VOTE_REPLY,
+    _vote_handler,
+)
+_BATCH = (
+    MessageCategory.BATCH_VOTE_REQUEST,
+    MessageCategory.BATCH_VOTE_REPLY,
+    _batch_vote_handler,
+)
 
-    The fencing closure in :meth:`VotingProtocol.write` matters only
-    once a membership view is installed; without one
-    ``_epoch_rejects`` is constantly False, so the static-group
-    fan-out shares this handler instead of building a closure (and a
-    fenced-list cell) per write.
+
+def _votes(rnd: QuorumRound, block: BlockIndex) -> List[int]:
+    """The versions voted for ``block``, aligned with ``rnd.ids``.
+
+    A :data:`_SINGLE` round's values are the votes themselves, a
+    :data:`_BATCH` round's values map every block to its vote.  The
+    entry points read the top version their own way (``rnd.top`` /
+    a maximum per block); the refresh, healing and read-repair paths
+    that need to know *who* voted what go through here.
     """
-    index, blob, v = payload
-    if node.is_witness:
-        node.store.set_version(index, v)
-    else:
-        node.write_block(index, blob, v)
-
-
-def _apply_batch_write_handler(node, payload):
-    """BATCH_WRITE_UPDATE (static group): apply every pushed version."""
-    for index in sorted(payload):
-        blob, v = payload[index]
-        if node.is_witness:
-            node.store.set_version(index, v)
-        else:
-            node.write_block(index, blob, v)
+    values = rnd.values[:rnd.count]
+    if type(values[0]) is int:
+        return values
+    return [vote[block] for vote in values]
 
 
 class VotingProtocol(ReplicationProtocol):
@@ -204,51 +208,42 @@ class VotingProtocol(ReplicationProtocol):
                     "witness sites (every replica must store data)"
                 )
         self.policy = policy
+        #: R = 1: reads are served from the local copy, zero messages.
+        self._local_reads = policy is not None and policy.r == 1
         self._spec = spec
-        self._index_of: Dict[SiteId, int] = {
-            site.site_id: i for i, site in enumerate(self.sites)
-        }
         self._eager_repair = eager_repair
         self._data_ids = [s.site_id for s in self.sites if not s.is_witness]
         if not self._data_ids:
             raise ValueError("a voting group needs at least one data site")
         #: Number of stale local copies refreshed lazily during reads.
         self.lazy_repairs = 0
-        self._refresh_fast_thresholds()
+        self._configuration_changed()
 
-    def _refresh_fast_thresholds(self) -> None:
-        """Precompute the integer quorum thresholds of the hot path.
+    def _configuration_changed(self) -> None:
+        """Compile the quorum test of the configuration now in force.
 
-        For count-based (RF, R, W) policies and for unit-weight specs
-        the strict-greater float predicate over gathered weight is
-        equivalent to an integer compare over the distinct-voter count
-        (``n > q`` iff ``n >= floor(q) + 1``), so steady-state
-        operations replace ``gathered_weight`` + ``meets_read`` /
-        ``meets_write`` with one ``count < need`` test.  The ``need``
-        values are None for genuinely weighted specs (including the
-        even-group tie-breaker weight), which stay on the float path.
-        The float companions preserve the exact
-        :class:`QuorumNotReachedError` arguments the slow path raises.
-        Recomputed whenever the spec can change (construction and view
-        commit).
+        Runs at construction and after every membership transition
+        (install / begin / adopt / expel / commit), the only points the
+        membership or the thresholds can change; operations just ask
+        ``self._decider``.  An (RF, R, W) policy counts R / W distinct
+        members; a transition window demands a quorum under the old AND
+        the new view; otherwise the spec decides (a count compare for
+        unit weights, a weight sum for weighted specs).
         """
         policy = self.policy
-        spec = self._spec
         if policy is not None:
-            self._fast_read_need: Optional[int] = policy.r
-            self._fast_write_need: Optional[int] = policy.w
-            self._fast_read_quorum = float(policy.r)
-            self._fast_write_quorum = float(policy.w)
-        elif spec.unit_weights:
-            self._fast_read_need = spec.read_count_need
-            self._fast_write_need = spec.write_count_need
-            self._fast_read_quorum = spec.read_quorum
-            self._fast_write_quorum = spec.write_quorum
+            self._decider: QuorumDecider = CountDecider(
+                self._order,
+                (policy.r, float(policy.r)),
+                (policy.w, float(policy.w)),
+            )
+        elif self._pending_view is not None:
+            self._decider = JointDecider(*(
+                QuorumDecider.for_spec(view.sites, view.quorum_spec())
+                for view in (self._view, self._pending_view)
+            ))
         else:
-            self._fast_read_need = None
-            self._fast_write_need = None
-            self._fast_read_quorum = 0.0
-            self._fast_write_quorum = 0.0
+            self._decider = QuorumDecider.for_spec(self._order, self._spec)
 
     # -- metadata ---------------------------------------------------------
 
@@ -268,7 +263,8 @@ class VotingProtocol(ReplicationProtocol):
     @property
     def witness_ids(self) -> List[SiteId]:
         """Vote-only sites."""
-        return [s for s in self.site_ids if s not in set(self._data_ids)]
+        data_ids = set(self._data_ids)
+        return [s for s in self._order if s not in data_ids]
 
     # -- dynamic membership (joint quorums during the window) -----------------
 
@@ -316,176 +312,103 @@ class VotingProtocol(ReplicationProtocol):
         for site_id, vote in zip(view.sites, view.votes):
             self._sites[site_id].set_weight(vote)
         self._spec = view.quorum_spec()
-        self._index_of = {s: i for i, s in enumerate(view.sites)}
-        self._pos_of = {s: i for i, s in enumerate(view.sites)}
         self._data_ids = [
             s.site_id for s in self.sites if not s.is_witness
         ]
-        self._refresh_fast_thresholds()
         super().commit_view_change(view)
 
-    def _joint_views(self) -> Optional[Tuple['View', 'View']]:
-        """(old, new) while a transition window is open, else None."""
-        if self._pending_view is not None:
-            return self._view, self._pending_view
-        return None
+    # -- phase 1-2: collect votes, decide ------------------------------------
 
-    def _read_shortfall(
-        self, voters: set
-    ) -> Optional[Tuple[float, float]]:
-        """None if ``voters`` form every active read quorum, else the
-        (gathered, required) pair of the first view they miss.
+    def _client_site(self, origin: SiteId) -> 'Site':
+        site = self.require_origin(origin)
+        if site.is_witness:
+            raise SiteDownError(origin, "witnesses cannot serve clients")
+        return site
 
-        During a transition window the *joint* rule applies: the voters
-        must exceed the read threshold of the old AND the new view, so
-        a read is guaranteed to intersect the write quorum of the
-        latest write no matter which side of the epoch boundary that
-        write landed on.
+    def _collect(
+        self, rnd: QuorumRound, site: 'Site', wire, payload, mine,
+        shortfall,
+    ) -> None:
+        """Gather votes into ``rnd`` and require a quorum of them.
 
-        Under an (RF, R, W) policy the check is count-based: R distinct
-        member voters must have answered.
+        ``wire`` is :data:`_SINGLE` or :data:`_BATCH`; ``mine`` is the
+        origin's own vote, appended last.  During a transition window
+        the broadcast reaches the union of both views' members, so the
+        joint decider sees every reachable voice.  ``shortfall`` is the
+        decider's read or write test.
         """
-        if self.policy is not None:
-            gathered = sum(1 for s in voters if s in self._index_of)
-            if gathered < self.policy.r:
-                return float(gathered), float(self.policy.r)
-            return None
-        views = self._joint_views()
-        if views is not None:
-            for view in views:
-                gathered = view.gathered_weight(voters)
-                if not gathered > view.read_quorum:
-                    return gathered, view.read_quorum
-            return None
-        gathered = self._spec.gathered_weight(
-            self._index_of[s] for s in voters if s in self._index_of
+        origin = site.site_id
+        request, reply, handler = wire
+        self._network.broadcast_round(
+            origin, request, reply, handler, payload, rnd
         )
-        if not self._spec.meets_read(gathered):
-            return gathered, self._spec.read_quorum
-        return None
-
-    def _write_shortfall(
-        self, voters: set
-    ) -> Optional[Tuple[float, float]]:
-        """Joint-quorum analogue of :meth:`_read_shortfall` for writes."""
-        if self.policy is not None:
-            gathered = sum(1 for s in voters if s in self._index_of)
-            if gathered < self.policy.w:
-                return float(gathered), float(self.policy.w)
-            return None
-        views = self._joint_views()
-        if views is not None:
-            for view in views:
-                gathered = view.gathered_weight(voters)
-                if not gathered > view.write_quorum:
-                    return gathered, view.write_quorum
-            return None
-        gathered = self._spec.gathered_weight(
-            self._index_of[s] for s in voters if s in self._index_of
-        )
-        if not self._spec.meets_write(gathered):
-            return gathered, self._spec.write_quorum
-        return None
-
-    # -- vote collection -----------------------------------------------------
-
-    def _collect_votes(
-        self, origin: 'Site', block: BlockIndex
-    ) -> Dict[SiteId, int]:
-        """Gather votes for ``block`` from every reachable site.
-
-        Returns a map ``site_id -> version`` over the voters (origin
-        included).  During a transition window the broadcast reaches
-        the union of both views' members, so the joint quorum checks
-        see every reachable voice.
-        """
-        # Slow-path helper (membership windows, weighted specs); the
-        # steady-state read uses the pooled round instead.
-        replies: Dict[SiteId, int] = self.network.broadcast_query(  # repro: noqa[RL009]
-            origin.site_id,
-            request=MessageCategory.VOTE_REQUEST,
-            reply=MessageCategory.VOTE_REPLY,
-            handler=_vote_handler,
-            payload=block,
-        )
-        # broadcast_query returns a fresh dict per call, so the origin's
-        # vote is appended in place rather than after a defensive copy.
-        replies[origin.site_id] = origin.block_version(block)
-        return replies
-
-    @staticmethod
-    def _best_voter(versions: Dict[SiteId, int]) -> SiteId:
-        """The voter holding the highest version (lowest id on ties)."""
-        top = max(versions.values())
-        return min(s for s, v in versions.items() if v == top)
+        rnd.add(origin, mine)
+        missed = shortfall(rnd.ids[:rnd.count])
+        if missed is not None:
+            raise QuorumNotReachedError(*missed)
 
     # -- Figure 3: READ -------------------------------------------------------
 
     def read(self, origin: SiteId, block: BlockIndex) -> bytes:
-        site = self.require_origin(origin)
-        if site.is_witness:
-            raise SiteDownError(origin, "witnesses cannot serve clients")
-        policy = self.policy
-        if policy is not None and policy.r == 1:
-            return self._read_local(site, block)
-        network = self._network
-        span = (
-            self._span("read", origin=origin, block=block)
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_read, span:
+        site = self._client_site(origin)
+        local = self._local_reads
+        with self._record_read, self._span("read", origin, block, local=local):
+            if local:
+                return self._read_local(site, block)
             rnd = self._borrow_round()
             try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.VOTE_REQUEST,
-                    MessageCategory.VOTE_REPLY,
-                    _vote_handler,
-                    block,
-                    rnd,
-                )
                 mine = site.block_version(block)
-                rnd.add(origin, mine)
-                # The integer fast path is valid only when every
-                # replier is a member the float path would count: no
-                # joint-quorum window is open and no joiner has been
-                # adopted ahead of the view commit that rebuilds
-                # ``_index_of``.
-                need = self._fast_read_need
-                if (need is not None and self._pending_view is None
-                        and len(self._order) == len(self._index_of)):
-                    if rnd.count < need:
-                        raise QuorumNotReachedError(
-                            float(rnd.count), self._fast_read_quorum
-                        )
-                else:
-                    shortfall = self._read_shortfall(rnd.id_set())
-                    if shortfall is not None:
-                        raise QuorumNotReachedError(*shortfall)
+                self._collect(
+                    rnd, site, _SINGLE, block, mine,
+                    self._decider.read_shortfall,
+                )
                 top = rnd.top
                 if mine < top:
-                    self._refresh_from_voters(
-                        site, block, rnd.as_dict(), top
-                    )
+                    self._refresh_from_voters(site, block, rnd, top)
                     self.lazy_repairs += 1
-                try:
-                    data = site.read_block(block)
-                except CorruptBlockError:
-                    # Quorum composition guarantees a current copy
-                    # exists in the quorum; self-heal the local one
-                    # from it and retry.
-                    self.note_corruption(origin, block)
-                    site.store.quarantine(block, top)
-                    self._refresh_from_voters(
-                        site, block, rnd.as_dict(), top
-                    )
-                    self.note_heal(origin, block)
-                    data = site.read_block(block)
-                if policy is not None and policy.read_repair:
-                    self._send_read_repairs(
-                        site, block, rnd.as_dict(), top, data
-                    )
-                return data
+                return self._read_current(site, block, rnd, top)
+            finally:
+                self._release_round(rnd)
+
+    def read_batch(
+        self, origin: SiteId, blocks: Sequence[BlockIndex]
+    ) -> Dict[BlockIndex, bytes]:
+        """Read a whole batch behind ONE vote-collection round.
+
+        The quorum check covers every block at once (the same voters
+        answered for all of them); stale local copies are refreshed with
+        one scatter-gather transfer per source site instead of one
+        transfer per block.  Per-block semantics -- quorum intersection,
+        lazy repair, corruption healing, read repair, the R = 1 local
+        read -- are identical to :meth:`read`.
+        """
+        ordered = list(dict.fromkeys(blocks))
+        if not ordered:
+            return {}
+        site = self._client_site(origin)
+        local = self._local_reads
+        with self._record_batch_read, self._span(
+            "read_batch", origin, batch=len(ordered), local=local
+        ):
+            if local:
+                return {b: self._read_local(site, b) for b in ordered}
+            rnd = self._borrow_round()
+            try:
+                mine = {b: site.block_version(b) for b in ordered}
+                self._collect(
+                    rnd, site, _BATCH, tuple(ordered), mine,
+                    self._decider.read_shortfall,
+                )
+                replies = rnd.values[:rnd.count]
+                tops = {b: max([r[b] for r in replies]) for b in ordered}
+                stale = [b for b in ordered if mine[b] < tops[b]]
+                if stale:
+                    self._batch_refresh(site, stale, rnd, tops)
+                    self.lazy_repairs += len(stale)
+                return {
+                    b: self._read_current(site, b, rnd, tops[b])
+                    for b in ordered
+                }
             finally:
                 self._release_round(rnd)
 
@@ -499,27 +422,51 @@ class VotingProtocol(ReplicationProtocol):
         A corrupt local copy falls back to vote collection to locate
         and pull an intact peer copy (self-healing, as in Figure 3).
         """
-        origin = site.site_id
-        with self._record_read, \
-                self._span("read", origin=origin, block=block, local=True):
+        try:
+            return site.read_block(block)
+        except CorruptBlockError:
+            rnd = self._borrow_round()
             try:
-                return site.read_block(block)
-            except CorruptBlockError:
-                self.note_corruption(origin, block)
-                versions = self._collect_votes(site, block)
-                top = max(versions.values())
-                site.store.quarantine(block, top)
-                self._refresh_from_voters(site, block, versions, top)
-                self.note_heal(origin, block)
-                return site.read_block(block)
+                self._collect(
+                    rnd, site, _SINGLE, block, site.block_version(block),
+                    self._decider.read_shortfall,
+                )
+                return self._heal(site, block, rnd, rnd.top)
+            finally:
+                self._release_round(rnd)
+
+    def _read_current(
+        self, site: 'Site', block: BlockIndex, rnd: QuorumRound, top: int
+    ) -> bytes:
+        """Serve ``block`` from the local copy, now at version ``top``.
+
+        Quorum composition guarantees a current copy exists among the
+        voters of ``rnd``, so a corrupt local copy is healed from one
+        of them; under a read-repair policy the stale voters this read
+        observed are then brought current.
+        """
+        try:
+            data = site.read_block(block)
+        except CorruptBlockError:
+            data = self._heal(site, block, rnd, top)
+        policy = self.policy
+        if policy is not None and policy.read_repair:
+            self._send_read_repairs(site, block, rnd, top, data)
+        return data
+
+    def _heal(
+        self, site: 'Site', block: BlockIndex, rnd: QuorumRound, top: int
+    ) -> bytes:
+        """Replace the corrupt local copy of ``block`` from a voter."""
+        self.note_corruption(site.site_id, block)
+        site.store.quarantine(block, top)
+        self._refresh_from_voters(site, block, rnd, top)
+        self.note_heal(site.site_id, block)
+        return site.read_block(block)
 
     def _send_read_repairs(
-        self,
-        site: 'Site',
-        block: BlockIndex,
-        versions: Dict[SiteId, int],
-        top: int,
-        data: bytes,
+        self, site: 'Site', block: BlockIndex, rnd: QuorumRound,
+        top: int, data: bytes,
     ) -> None:
         """Push the newest copy to the stale voters this read observed.
 
@@ -527,46 +474,50 @@ class VotingProtocol(ReplicationProtocol):
         newer on arrival (a concurrent write may have superseded it).
         Costs ride on the read that triggered them.
         """
-        for target_id in sorted(versions):
-            if target_id == site.site_id or versions[target_id] >= top:
+        for target_id, version in sorted(zip(rnd.ids, _votes(rnd, block))):
+            if target_id == site.site_id or version >= top:
                 continue
             if self.network.unicast_oneway(
                 src=site.site_id,
                 dst=target_id,
                 category=MessageCategory.READ_REPAIR,
-                handler=_read_repair_handler,
+                handler=_apply_if_newer,
                 payload=(block, data, top),
             ):
                 self.read_repairs += 1
 
+    def _current_holders(
+        self, site: 'Site', block: BlockIndex, rnd: QuorumRound, top: int
+    ) -> List[SiteId]:
+        """The data voters other than ``site`` that reported ``top`` for
+        ``block``, in id order; raises when only witnesses did."""
+        holders = sorted(
+            s for s, v in zip(rnd.ids, _votes(rnd, block))
+            if v == top and s != site.site_id and s in self._data_ids
+        )
+        if not holders:
+            raise NoCurrentDataCopyError(
+                f"version {top} of block {block} is attested only "
+                "by witnesses; no data copy is reachable"
+            )
+        return holders
+
     def _refresh_from_voters(
-        self,
-        site: 'Site',
-        block: BlockIndex,
-        versions: Dict[SiteId, int],
-        top: int,
+        self, site: 'Site', block: BlockIndex, rnd: QuorumRound, top: int
     ) -> None:
         """Pull the current copy of ``block`` from the best intact voter.
 
         Tries the data voters holding the quorum's highest version in id
         order; a voter whose own copy turns out corrupt is quarantined
         and skipped, as is one whose block transfer is lost in transit.
+        The vote request already carried the reader's version number,
+        so a single BLOCK_TRANSFER suffices (the "+1" of Section 5.1).
         Raises :class:`NoCurrentDataCopyError` when only witnesses
         attest ``top`` and :class:`CorruptBlockError` when every data
         copy at ``top`` is corrupt.
         """
-        data_ids = set(self._data_ids)
-        candidates = sorted(
-            s for s, v in versions.items()
-            if v == top and s != site.site_id and s in data_ids
-        )
-        if not candidates:
-            raise NoCurrentDataCopyError(
-                f"version {top} of block {block} is attested only "
-                "by witnesses; no data copy is reachable"
-            )
         any_intact = False
-        for source in candidates:
+        for source in self._current_holders(site, block, rnd, top):
             holder = self.site(source)
             try:
                 data = holder.read_block(block)
@@ -575,9 +526,12 @@ class VotingProtocol(ReplicationProtocol):
                 holder.store.quarantine(block)
                 continue
             any_intact = True
-            if self._push_block(
-                source=source, target=site, block=block,
-                data=data, version=holder.block_version(block),
+            if self.network.unicast_oneway(
+                src=source,
+                dst=site.site_id,
+                category=MessageCategory.BLOCK_TRANSFER,
+                handler=_store_handler,
+                payload=(block, data, holder.block_version(block)),
             ):
                 return
         if any_intact:
@@ -593,163 +547,156 @@ class VotingProtocol(ReplicationProtocol):
             detail=f"every reachable copy at version {top} is corrupt",
         )
 
-    def _push_block(
-        self,
-        source: SiteId,
-        target: 'Site',
-        block: BlockIndex,
-        data: bytes,
-        version: int,
-    ) -> bool:
-        """The highest-versioned voter pushes the block to the reader.
+    def _batch_refresh(
+        self, site: 'Site', stale: Sequence[BlockIndex], rnd: QuorumRound,
+        tops: Mapping[BlockIndex, int],
+    ) -> None:
+        """Refresh all stale blocks with one transfer per source site.
 
-        The vote request already carried the reader's version number, so
-        a single block transfer suffices (the "+1" of Section 5.1).
-        Returns whether the transfer was actually delivered.
+        Blocks are grouped by their best current holder; each holder
+        ships its group in a single BATCH_BLOCK_TRANSFER.  Blocks whose
+        primary copy turns out corrupt (or whose transfer is dropped)
+        fall back to the sequential per-block refresh path, preserving
+        its quarantine/heal semantics exactly.
         """
-
-        def deliver(node, payload):
-            index, blob, v = payload
-            node.write_block(index, blob, v)
-
-        return self.network.unicast_oneway(
-            src=source,
-            dst=target.site_id,
-            category=MessageCategory.BLOCK_TRANSFER,
-            handler=deliver,
-            payload=(block, data, version),
-        )
+        by_source: Dict[SiteId, List[BlockIndex]] = {}  # repro: noqa[RL009] -- repair dispatch, cold
+        for b in stale:
+            best = self._current_holders(site, b, rnd, tops[b])[0]
+            by_source.setdefault(best, []).append(b)
+        fallback: List[BlockIndex] = []
+        for source_id in sorted(by_source):
+            holder = self.site(source_id)
+            shipment: Dict[BlockIndex, Tuple[bytes, int]] = {}
+            for b in by_source[source_id]:
+                try:
+                    shipment[b] = (
+                        holder.read_block(b), holder.block_version(b)
+                    )
+                except CorruptBlockError:
+                    self.note_corruption(source_id, b)
+                    holder.store.quarantine(b)
+                    fallback.append(b)
+            if shipment and not self.network.unicast_oneway(
+                src=source_id,
+                dst=site.site_id,
+                category=MessageCategory.BATCH_BLOCK_TRANSFER,
+                handler=_store_handler,
+                payload=shipment,
+            ):
+                fallback.extend(sorted(shipment))
+        for b in fallback:
+            self._refresh_from_voters(site, b, rnd, tops[b])
 
     # -- Figure 4: WRITE -----------------------------------------------------
 
     def write(self, origin: SiteId, block: BlockIndex, data: bytes) -> int:
-        site = self.require_origin(origin)
-        if site.is_witness:
-            raise SiteDownError(origin, "witnesses cannot serve clients")
-        network = self._network
-        span = (
-            self._span("write", origin=origin, block=block)
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_write, span:
+        site = self._client_site(origin)
+        with self._record_write, self._span("write", origin, block):
             rnd = self._borrow_round()
             try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.VOTE_REQUEST,
-                    MessageCategory.VOTE_REPLY,
-                    _vote_handler,
-                    block,
-                    rnd,
+                self._collect(
+                    rnd, site, _SINGLE, block, site.block_version(block),
+                    self._decider.write_shortfall,
                 )
-                mine = site.block_version(block)
-                rnd.add(origin, mine)
-                count = rnd.count
-                # Same fast-path validity guard as :meth:`read`.
-                need = self._fast_write_need
-                if (need is not None and self._pending_view is None
-                        and len(self._order) == len(self._index_of)):
-                    if count < need:
-                        raise QuorumNotReachedError(
-                            float(count), self._fast_write_quorum
-                        )
-                else:
-                    shortfall = self._write_shortfall(rnd.id_set())
-                    if shortfall is not None:
-                        raise QuorumNotReachedError(*shortfall)
-                new_version = rnd.top + 1
-                # Peer voters in arrival order (the origin's own vote
-                # was appended last), matching the old reply-dict
-                # iteration order exactly.
-                quorum_members = rnd.ids[:count - 1]
-                epoch_tag = self.current_epoch()
-                blob = bytes(data)
-                if self._view is None:
-                    # Static group: _epoch_rejects is constantly False,
-                    # so the fan-out shares the module-level handler
-                    # instead of building a fencing closure per write.
-                    fenced = ()
-                    delivered = network.broadcast_oneway(
-                        src=origin,
-                        category=MessageCategory.WRITE_UPDATE,
-                        handler=_apply_write_handler,
-                        payload=(block, blob, new_version),
-                        destinations=quorum_members,
-                    )
-                else:
-                    fenced = []
-
-                    def apply(node, payload):
-                        if self._epoch_rejects(node, epoch_tag):
-                            # The epoch advanced under this fan-out (a
-                            # view change committed between vote
-                            # collection and delivery); the member
-                            # refuses the stale-tagged update rather
-                            # than apply it under quorums that no
-                            # longer hold.
-                            fenced.append(node.site_id)
-                            return
-                        index, payload_blob, v = payload
-                        if node.is_witness:
-                            node.store.set_version(index, v)
-                        else:
-                            node.write_block(index, payload_blob, v)
-
-                    delivered = network.broadcast_oneway(
-                        src=origin,
-                        category=MessageCategory.WRITE_UPDATE,
-                        handler=apply,
-                        payload=(block, blob, new_version),
-                        destinations=quorum_members,
-                    )
-                if fenced:
-                    self.epoch_fences += len(fenced)
-                if len(delivered) != count - 1 or fenced:
-                    # Members that missed the update -- transient
-                    # delivery loss or an epoch fence -- cannot be
-                    # counted toward the write quorum (quorum
-                    # intersection would otherwise admit a stale read).
-                    # If what actually applied -- the origin plus the
-                    # unfenced delivered members -- still carries a
-                    # write quorum, the write stands; otherwise it is
-                    # torn.
-                    applied_ids = {origin} | (set(delivered) - set(fenced))
-                    if (applied_ids != rnd.id_set()
-                            and site.state is not SiteState.FAILED):
-                        shortfall = self._write_shortfall(applied_ids)
-                        if shortfall is not None:
-                            if self.recorder is not None:
-                                self.recorder.torn_write(
-                                    block, blob, new_version
-                                )
-                            if fenced:
-                                raise StaleEpochError(
-                                    f"write of block {block} tagged epoch "
-                                    f"{epoch_tag} was fenced by "
-                                    f"{sorted(set(fenced))}"
-                                )
-                            raise QuorumNotReachedError(*shortfall)
-                if site.state is SiteState.FAILED:
-                    # The origin crashed mid-fan-out (fault injection):
-                    # some quorum members applied the update, some did
-                    # not, and the local copy never will -- a torn group
-                    # write.  The higher version at whichever sites took
-                    # it supersedes stale copies through the ordinary
-                    # lazy-repair path.
-                    if self.recorder is not None:
-                        self.recorder.torn_write(block, blob, new_version)
-                    raise SiteDownError(
-                        origin, "failed during the write fan-out"
-                    )
-                site.write_block(block, blob, new_version)
-                if self.policy is not None and self.policy.hinted_handoff:
-                    applied_ids = {origin} | (set(delivered) - set(fenced))
-                    self._park_hints(
-                        site, applied_ids, block, blob, new_version
-                    )
-                return new_version
+                version = rnd.top + 1
+                self._fan_out(
+                    site, rnd, MessageCategory.WRITE_UPDATE,
+                    (block, bytes(data), version),
+                )
+                return version
             finally:
                 self._release_round(rnd)
+
+    def write_batch(
+        self, origin: SiteId, updates: Mapping[BlockIndex, bytes]
+    ) -> Dict[BlockIndex, int]:
+        """Write a whole batch behind ONE vote round and ONE fan-out.
+
+        Version assignment is per block (each block's quorum maximum
+        plus one) and a mid-fan-out origin crash or an insufficient
+        applied weight tears *every* block of the batch individually,
+        exactly as :meth:`write` tears a single block.  No cross-block
+        atomicity is claimed.
+        """
+        blocks = sorted(updates)
+        if not blocks:
+            return {}
+        site = self._client_site(origin)
+        with self._record_batch_write, \
+                self._span("write_batch", origin, batch=len(blocks)):
+            rnd = self._borrow_round()
+            try:
+                self._collect(
+                    rnd, site, _BATCH, tuple(blocks),
+                    {b: site.block_version(b) for b in blocks},
+                    self._decider.write_shortfall,
+                )
+                replies = rnd.values[:rnd.count]
+                versions = {
+                    b: max([r[b] for r in replies]) + 1 for b in blocks
+                }
+                self._fan_out(
+                    site, rnd, MessageCategory.BATCH_WRITE_UPDATE,
+                    {b: (bytes(updates[b]), versions[b]) for b in blocks},
+                )
+                return versions
+            finally:
+                self._release_round(rnd)
+
+    def _fan_out(
+        self, site: 'Site', rnd: QuorumRound,
+        category: MessageCategory, payload,
+    ) -> None:
+        """Phases 3-5 of a write: fan out, settle, apply locally.
+
+        The update goes to the peers that voted (arrival order; the
+        origin's own vote is the round's last entry).  A member that
+        has adopted a newer epoch than the one this operation started
+        under -- a view change opened between vote collection and
+        delivery -- refuses it rather than apply it under quorums that
+        no longer hold.  Members that missed the update (delivery loss
+        or fence) cannot count toward the write quorum, or quorum
+        intersection would admit a stale read: the write stands only if
+        the origin plus the members that did apply it still carry one.
+        A committed write's missed updates are then parked as hints for
+        the down members when the policy asks for it.
+        """
+        origin = site.site_id
+        updates = updates_of(payload)
+        peers = rnd.ids[:rnd.count - 1]
+        epoch_tag = self.current_epoch()
+        fenced: List[SiteId] = []
+
+        def apply(node, _payload):
+            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+                fenced.append(node.site_id)
+                return
+            for index, blob, version in updates:
+                if node.is_witness:
+                    node.store.set_version(index, version)
+                else:
+                    node.write_block(index, blob, version)
+
+        delivered = self._network.broadcast_oneway(
+            src=origin,
+            category=category,
+            handler=apply,
+            payload=payload,
+            destinations=peers,
+        )
+        applied = missed = None
+        if fenced or len(delivered) != len(peers):
+            applied = {origin, *delivered}.difference(fenced)
+            missed = self._decider.write_shortfall(applied)
+        self._settle_write(site, updates, fenced, epoch_tag, short=missed)
+        for block, blob, version in updates:
+            site.write_block(block, blob, version)
+        policy = self.policy
+        if policy is not None and policy.hinted_handoff:
+            # None here means nothing was lost or fenced.
+            applied = applied or {origin, *delivered}
+            for block, blob, version in updates:
+                self._park_hints(site, applied, block, blob, version)
 
     def _park_hints(
         self,
@@ -791,298 +738,6 @@ class VotingProtocol(ReplicationProtocol):
             ):
                 self.hints_parked += 1
 
-    # -- batched operations ---------------------------------------------------
-
-    def read_batch(
-        self, origin: SiteId, blocks: Sequence[BlockIndex]
-    ) -> Dict[BlockIndex, bytes]:
-        """Read a whole batch behind ONE vote-collection round.
-
-        The quorum check covers every block at once (the same voters
-        answered for all of them); stale local copies are refreshed with
-        one scatter-gather transfer per source site instead of one
-        transfer per block.  Per-block semantics -- quorum intersection,
-        lazy repair, corruption healing -- are identical to :meth:`read`.
-        """
-        ordered = list(dict.fromkeys(blocks))
-        if not ordered:
-            return {}
-        site = self.require_origin(origin)
-        if site.is_witness:
-            raise SiteDownError(origin, "witnesses cannot serve clients")
-        network = self._network
-        span = (
-            self._span("read_batch", origin=origin, batch=len(ordered))
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_batch_read, span:
-            rnd = self._borrow_round()
-            try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.BATCH_VOTE_REQUEST,
-                    MessageCategory.BATCH_VOTE_REPLY,
-                    _batch_vote_handler,
-                    tuple(ordered),
-                    rnd,
-                )
-                mine = {b: site.block_version(b) for b in ordered}
-                rnd.add(origin, mine)
-                # Same fast-path validity guard as :meth:`read`.
-                need = self._fast_read_need
-                if (need is not None and self._pending_view is None
-                        and len(self._order) == len(self._index_of)):
-                    if rnd.count < need:
-                        raise QuorumNotReachedError(
-                            float(rnd.count), self._fast_read_quorum
-                        )
-                else:
-                    shortfall = self._read_shortfall(rnd.id_set())
-                    if shortfall is not None:
-                        raise QuorumNotReachedError(*shortfall)
-                ids = rnd.ids
-                values = rnd.values
-                count = rnd.count
-                tops: Dict[BlockIndex, int] = {}
-                for b in ordered:
-                    top = 0
-                    for k in range(count):
-                        v = values[k][b]
-                        if v > top:
-                            top = v
-                    tops[b] = top
-                # Per-block voter maps are materialized lazily: most
-                # blocks of a batch are typically current everywhere,
-                # and only the stale/corrupt ones need the
-                # site -> version breakdown.
-                per_block: Dict[BlockIndex, Dict[SiteId, int]] = {}  # repro: noqa[RL009] -- lazy, stale blocks only
-
-                def versions_of(b: BlockIndex) -> Dict[SiteId, int]:
-                    found = per_block.get(b)
-                    if found is None:
-                        found = {
-                            ids[k]: values[k][b] for k in range(count)
-                        }
-                        per_block[b] = found
-                    return found
-
-                stale = [b for b in ordered if mine[b] < tops[b]]
-                if stale:
-                    self._batch_refresh(
-                        site, stale,
-                        {b: versions_of(b) for b in stale}, tops,
-                    )
-                    self.lazy_repairs += len(stale)
-                out: Dict[BlockIndex, bytes] = {}
-                for b in ordered:
-                    try:
-                        out[b] = site.read_block(b)
-                    except CorruptBlockError:
-                        self.note_corruption(origin, b)
-                        site.store.quarantine(b, tops[b])
-                        self._refresh_from_voters(
-                            site, b, versions_of(b), tops[b]
-                        )
-                        self.note_heal(origin, b)
-                        out[b] = site.read_block(b)
-                return out
-            finally:
-                self._release_round(rnd)
-
-    def _batch_refresh(
-        self,
-        site: 'Site',
-        stale: Sequence[BlockIndex],
-        per_block: Dict[BlockIndex, Dict[SiteId, int]],
-        tops: Dict[BlockIndex, int],
-    ) -> None:
-        """Refresh all stale blocks with one transfer per source site.
-
-        Blocks are grouped by their best current holder; each holder
-        ships its group in a single BATCH_BLOCK_TRANSFER.  Blocks whose
-        primary copy turns out corrupt (or whose transfer is dropped)
-        fall back to the sequential per-block refresh path, preserving
-        its quarantine/heal semantics exactly.
-        """
-        data_ids = set(self._data_ids)
-        by_source: Dict[SiteId, List[BlockIndex]] = {}  # repro: noqa[RL009] -- repair dispatch, cold
-        for b in stale:
-            candidates = sorted(
-                s for s, v in per_block[b].items()
-                if v == tops[b] and s != site.site_id and s in data_ids
-            )
-            if not candidates:
-                raise NoCurrentDataCopyError(
-                    f"version {tops[b]} of block {b} is attested only "
-                    "by witnesses; no data copy is reachable"
-                )
-            by_source.setdefault(candidates[0], []).append(b)
-
-        def deliver(node, payload):
-            for index in sorted(payload):
-                blob, v = payload[index]
-                node.write_block(index, blob, v)
-
-        fallback: List[BlockIndex] = []
-        for source_id in sorted(by_source):
-            holder = self.site(source_id)
-            shipment: Dict[BlockIndex, Tuple[bytes, int]] = {}
-            for b in by_source[source_id]:
-                try:
-                    shipment[b] = (
-                        holder.read_block(b), holder.block_version(b)
-                    )
-                except CorruptBlockError:
-                    self.note_corruption(source_id, b)
-                    holder.store.quarantine(b)
-                    fallback.append(b)
-            if not shipment:
-                continue
-            delivered = self.network.unicast_oneway(
-                src=source_id,
-                dst=site.site_id,
-                category=MessageCategory.BATCH_BLOCK_TRANSFER,
-                handler=deliver,
-                payload=shipment,
-            )
-            if not delivered:
-                fallback.extend(sorted(shipment))
-        for b in fallback:
-            self._refresh_from_voters(site, b, per_block[b], tops[b])
-
-    def write_batch(
-        self, origin: SiteId, updates: Mapping[BlockIndex, bytes]
-    ) -> Dict[BlockIndex, int]:
-        """Write a whole batch behind ONE vote round and ONE fan-out.
-
-        Version assignment is per block (each block's quorum maximum
-        plus one) and a mid-fan-out origin crash or an insufficient
-        applied weight tears *every* block of the batch individually,
-        exactly as :meth:`write` tears a single block.  No cross-block
-        atomicity is claimed.
-        """
-        blocks = sorted(updates)
-        if not blocks:
-            return {}
-        site = self.require_origin(origin)
-        if site.is_witness:
-            raise SiteDownError(origin, "witnesses cannot serve clients")
-        network = self._network
-        span = (
-            self._span("write_batch", origin=origin, batch=len(blocks))
-            if network._tracer.enabled else _NULL_SPAN
-        )
-        with self._record_batch_write, span:
-            rnd = self._borrow_round()
-            try:
-                network.broadcast_round(
-                    origin,
-                    MessageCategory.BATCH_VOTE_REQUEST,
-                    MessageCategory.BATCH_VOTE_REPLY,
-                    _batch_vote_handler,
-                    tuple(blocks),
-                    rnd,
-                )
-                mine = {b: site.block_version(b) for b in blocks}
-                rnd.add(origin, mine)
-                count = rnd.count
-                # Same fast-path validity guard as :meth:`read`.
-                need = self._fast_write_need
-                if (need is not None and self._pending_view is None
-                        and len(self._order) == len(self._index_of)):
-                    if count < need:
-                        raise QuorumNotReachedError(
-                            float(count), self._fast_write_quorum
-                        )
-                else:
-                    shortfall = self._write_shortfall(rnd.id_set())
-                    if shortfall is not None:
-                        raise QuorumNotReachedError(*shortfall)
-                values = rnd.values
-                new_versions: Dict[BlockIndex, int] = {}
-                for b in blocks:
-                    top = 0
-                    for k in range(count):
-                        v = values[k][b]
-                        if v > top:
-                            top = v
-                    new_versions[b] = top + 1
-                payload = {
-                    b: (bytes(updates[b]), new_versions[b]) for b in blocks
-                }
-                quorum_members = rnd.ids[:count - 1]
-                epoch_tag = self.current_epoch()
-                if self._view is None:
-                    # Static group: shares the module-level handler (see
-                    # :meth:`write`).
-                    fenced = ()
-                    delivered = network.broadcast_oneway(
-                        src=origin,
-                        category=MessageCategory.BATCH_WRITE_UPDATE,
-                        handler=_apply_batch_write_handler,
-                        payload=payload,
-                        destinations=quorum_members,
-                    )
-                else:
-                    fenced = []
-
-                    def apply(node, payload):
-                        if self._epoch_rejects(node, epoch_tag):
-                            fenced.append(node.site_id)
-                            return
-                        for index in sorted(payload):
-                            blob, v = payload[index]
-                            if node.is_witness:
-                                node.store.set_version(index, v)
-                            else:
-                                node.write_block(index, blob, v)
-
-                    delivered = network.broadcast_oneway(
-                        src=origin,
-                        category=MessageCategory.BATCH_WRITE_UPDATE,
-                        handler=apply,
-                        payload=payload,
-                        destinations=quorum_members,
-                    )
-                if fenced:
-                    self.epoch_fences += len(fenced)
-                if len(delivered) != count - 1 or fenced:
-                    applied_ids = {origin} | (set(delivered) - set(fenced))
-                    if (applied_ids != rnd.id_set()
-                            and site.state is not SiteState.FAILED):
-                        shortfall = self._write_shortfall(applied_ids)
-                        if shortfall is not None:
-                            if self.recorder is not None:
-                                for b in blocks:
-                                    self.recorder.torn_write(
-                                        b, bytes(updates[b]),
-                                        new_versions[b],
-                                    )
-                            if fenced:
-                                raise StaleEpochError(
-                                    f"batched write of {len(blocks)} "
-                                    f"blocks tagged epoch {epoch_tag} "
-                                    f"was fenced by "
-                                    f"{sorted(set(fenced))}"
-                                )
-                            raise QuorumNotReachedError(*shortfall)
-                if site.state is SiteState.FAILED:
-                    # Mid-fan-out origin crash: every block of the batch
-                    # is torn the same way a single-block write would be.
-                    if self.recorder is not None:
-                        for b in blocks:
-                            self.recorder.torn_write(
-                                b, bytes(updates[b]), new_versions[b]
-                            )
-                    raise SiteDownError(
-                        origin, "failed during the batched write fan-out"
-                    )
-                for b in blocks:
-                    site.write_block(b, bytes(updates[b]), new_versions[b])
-                return new_versions
-            finally:
-                self._release_round(rnd)
-
     # -- availability & failure handling -----------------------------------------
 
     def is_available(self) -> bool:
@@ -1093,26 +748,11 @@ class VotingProtocol(ReplicationProtocol):
         write repairs all operational stale copies in its quorum, so any
         up data site is current).
         """
-        operational = [
-            s for s in self.sites if s.state is not SiteState.FAILED
-        ]
-        if self.policy is not None:
-            # Count-based: R operational replicas can serve reads (the
-            # group has no witnesses, so any of them is a data site).
-            return len(operational) >= self.policy.r
-        views = self._joint_views()
-        if views is not None:
-            ids = {s.site_id for s in operational}
-            if not all(v.meets_read(ids) for v in views):
-                return False
-        else:
-            up = [
-                self._index_of[s.site_id] for s in operational
-                if s.site_id in self._index_of
-            ]
-            if not self._spec.read_available(up):
-                return False
-        return any(not s.is_witness for s in operational)
+        up = [s for s in self.sites if s.state is not SiteState.FAILED]
+        return (
+            self._decider.read_available([s.site_id for s in up])
+            and any(not s.is_witness for s in up)
+        )
 
     def on_site_failed(self, site_id: SiteId) -> None:
         self.site(site_id).crash()
@@ -1156,7 +796,7 @@ class VotingProtocol(ReplicationProtocol):
                     src=holder.site_id,
                     dst=target.site_id,
                     category=MessageCategory.HINT,
-                    handler=_apply_hint_handler,
+                    handler=_apply_if_newer,
                     payload=hint,
                 ):
                     self.hints_replayed += 1

@@ -160,25 +160,6 @@ class Network:
     def interceptor(self) -> Optional[DeliveryInterceptor]:
         return self._interceptor
 
-    def _deliver(
-        self,
-        message: Message,
-        node: NetworkNode,
-        handler: Callable[[NetworkNode, Any], Any],
-        payload: Any,
-    ) -> Tuple[bool, Any]:
-        """Run ``handler`` at ``node`` unless the interceptor drops the
-        message; returns ``(delivered, result)``."""
-        hook = self._interceptor
-        if hook is not None and not hook.allow_delivery(
-            message, node.site_id
-        ):
-            return False, None
-        result = handler(node, payload)
-        if hook is not None:
-            hook.after_delivery(message, node.site_id)
-        return True, result
-
     # -- membership ---------------------------------------------------------
 
     def attach(self, node: NetworkNode) -> None:
@@ -470,9 +451,7 @@ class Network:
 
         Replies are appended to ``out`` (a pooled
         :class:`~repro.core.round.QuorumRound`) in the same arrival
-        order the reply dict's insertion order had, so
-        ``out.as_dict()`` reproduces :meth:`broadcast_query`'s return
-        value exactly.  When the reply category has a
+        order the reply dict's insertion order had.  When the reply category has a
         payload-independent size, reply transmissions are metered as
         one batched :meth:`TrafficMeter.count_for` call -- the meter is
         pure counter arithmetic, so ``k`` transmissions of ``size``

@@ -12,10 +12,14 @@ pool and assert the freelists neither grow nor shrink.
 
 import pytest
 
-from repro.core import QuorumSpec, VotingProtocol
+from repro.core import QuorumPolicy, QuorumSpec, VotingProtocol
 from repro.core.available_copy import AvailableCopyProtocol
 from repro.device import Site
-from repro.errors import QuorumNotReachedError, SiteDownError
+from repro.errors import (
+    NoCurrentDataCopyError,
+    QuorumNotReachedError,
+    SiteDownError,
+)
 from repro.net import Network
 from repro.obs.trace import Tracer
 from repro.types import SiteState
@@ -65,6 +69,25 @@ class TestRoundPool:
                 protocol.read_batch(0, [1, 2])
             with pytest.raises(QuorumNotReachedError):
                 protocol.write_batch(0, {1: b"\x03" * BLOCK_SIZE})
+        assert len(protocol._round_pool) == baseline
+
+    def test_failing_local_read_heals_return_rounds_to_pool(self):
+        # R = 1 serves reads locally and borrows a round only to heal a
+        # corrupt copy; with every peer down the heal fails mid-round.
+        sites = [Site(i, NUM_BLOCKS, BLOCK_SIZE) for i in range(3)]
+        protocol = VotingProtocol(
+            sites, Network(), policy=QuorumPolicy(3, 1, 3),
+        )
+        protocol.write(0, 1, b"\x01" * BLOCK_SIZE)
+        protocol.site(0).store.inject_corruption(1, b"\xff" * BLOCK_SIZE)
+        for down in (1, 2):
+            protocol.site(down).set_state(SiteState.FAILED)
+        baseline = len(protocol._round_pool)
+        for _ in range(FAILING_OPS):
+            with pytest.raises(NoCurrentDataCopyError):
+                protocol.read(0, 1)
+            with pytest.raises(NoCurrentDataCopyError):
+                protocol.read_batch(0, [1, 2])
         assert len(protocol._round_pool) == baseline
 
     def test_available_copy_failing_ops_return_rounds(self):

@@ -93,6 +93,12 @@ class _Dummy(ReplicationProtocol):
     def write(self, origin, block, data):  # pragma: no cover
         raise NotImplementedError
 
+    def read_batch(self, origin, blocks):  # pragma: no cover
+        raise NotImplementedError
+
+    def write_batch(self, origin, updates):  # pragma: no cover
+        raise NotImplementedError
+
     def is_available(self):  # pragma: no cover
         return True
 

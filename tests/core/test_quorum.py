@@ -209,3 +209,140 @@ class TestIntegerFastPath:
                 spec.meets_read(gathered)
             assert (count >= spec.write_count_need) == \
                 spec.meets_write(gathered)
+
+    # -- the compiled deciders (what the protocol hot path asks) -------------
+
+    @staticmethod
+    def _subsets_with_noise(sites, stranger):
+        """Every subset of ``sites`` as a voter list, each also with its
+        first voter repeated and with a non-member's id mixed in."""
+        from itertools import combinations
+
+        for k in range(len(sites) + 1):
+            for subset in combinations(sites, k):
+                yield subset, list(subset)
+                yield subset, list(subset) + list(subset[:1]) + [stranger]
+
+    def test_spec_deciders_match_float_reference_exhaustively(self):
+        from repro.core.quorum import (
+            CountDecider, QuorumDecider, WeightDecider,
+        )
+
+        specs = [QuorumSpec.majority(n) for n in range(1, 8)]
+        specs.append(QuorumSpec.weighted([2.0, 1.0, 1.0], 2.0, 2.0))
+        specs.append(QuorumSpec.weighted([0.1, 0.2, 0.3, 0.7], 0.65, 0.7))
+        for n in range(1, 8):
+            specs.extend(
+                QuorumSpec.weighted([1.0] * n, r / 2.0, w / 2.0)
+                for r in range(0, 2 * n + 1)
+                for w in range(0, 2 * n + 1)
+                if r / 2.0 + w / 2.0 >= n and 2 * (w / 2.0) >= n
+            )
+        for spec in specs:
+            # Ids deliberately differ from group indices.
+            sites = [10 + 3 * i for i in range(spec.num_sites)]
+            decider = QuorumDecider.for_spec(sites, spec)
+            assert type(decider) is (
+                CountDecider if spec.unit_weights else WeightDecider
+            )
+            for subset, voters in self._subsets_with_noise(sites, 999):
+                indices = [sites.index(s) for s in subset]
+                gathered = spec.gathered_weight(indices)
+                assert decider.read_shortfall(voters) == (
+                    None if spec.meets_read(gathered)
+                    else (gathered, spec.read_quorum)
+                )
+                assert decider.write_shortfall(voters) == (
+                    None if spec.meets_write(gathered)
+                    else (gathered, spec.write_quorum)
+                )
+                assert decider.read_available(voters) == \
+                    spec.read_available(indices)
+
+    def test_policy_deciders_count_distinct_members(self):
+        from repro.core import QuorumPolicy, VotingProtocol
+        from repro.device import Site
+        from repro.net import Network
+
+        for rf in range(1, 6):
+            for r in range(1, rf + 1):
+                for w in range(1, rf + 1):
+                    policy = QuorumPolicy(rf, r, w, allow_sloppy=True)
+                    group = [Site(i, 2, 8) for i in range(rf)]
+                    decider = VotingProtocol(
+                        group, Network(), policy=policy,
+                        spec=QuorumSpec.weighted(
+                            [1.0] * rf, rf / 2.0, rf / 2.0
+                        ),
+                    )._decider
+                    for subset, voters in self._subsets_with_noise(
+                        range(rf), 999
+                    ):
+                        count = float(len(subset))
+                        assert decider.read_shortfall(voters) == (
+                            None if count >= r else (count, float(r))
+                        )
+                        assert decider.write_shortfall(voters) == (
+                            None if count >= w else (count, float(w))
+                        )
+                        assert decider.read_available(voters) == \
+                            (count >= r)
+
+    def test_view_deciders_match_the_views_at_every_transition(self):
+        # install -> begin (+ adopt: the joiner is a member of the group
+        # before the commit) -> expel -> commit: after each step the
+        # decider must agree with the view(s) then in force, jointly
+        # while the window is open.
+        from repro.core import VotingProtocol
+        from repro.device import Site
+        from repro.membership.view import View
+        from repro.net import Network
+
+        def shortfall(views, voters, read):
+            for view in views:
+                quorum = view.read_quorum if read else view.write_quorum
+                gathered = view.gathered_weight(set(voters))
+                if not gathered > quorum:
+                    return gathered, quorum
+            return None
+
+        def check(protocol, views):
+            union = sorted(set().union(*(v.sites for v in views)))
+            for _, voters in self._subsets_with_noise(union, 999):
+                decider = protocol._decider
+                assert decider.read_shortfall(voters) == \
+                    shortfall(views, voters, read=True)
+                assert decider.write_shortfall(voters) == \
+                    shortfall(views, voters, read=False)
+                assert decider.read_available(voters) == all(
+                    v.meets_read(set(voters)) for v in views
+                )
+
+        for n in range(1, 6):
+            old = View.majority(0, range(n))
+            successors = [(old.with_added(n), n)]
+            if n > 1:
+                successors += [(old.with_removed(s), None) for s in old.sites]
+            successors += [
+                (old.with_replaced(s, n), n) for s in old.sites
+            ]
+            for new, joiner in successors:
+                group = [
+                    Site(s, 2, 8, weight=old.vote_of(s)) for s in old.sites
+                ]
+                protocol = VotingProtocol(
+                    group, Network(), spec=old.quorum_spec()
+                )
+                check(protocol, [old])
+                protocol.install_view(old)
+                check(protocol, [old])
+                protocol.begin_view_change(new)
+                check(protocol, [old, new])
+                if joiner is not None:
+                    protocol.adopt_site(Site(joiner, 2, 8))
+                    check(protocol, [old, new])
+                for removed in sorted(old.members - new.members):
+                    protocol.expel_site(removed)
+                    check(protocol, [old, new])
+                protocol.commit_view_change(new)
+                check(protocol, [new])

@@ -3,10 +3,14 @@
 Two facets, both over random batches and interleavings on all three
 consistency schemes:
 
-* **Fault-free exact equivalence** -- a batched run and a sequential run
-  of the same operation stream return the same bytes, assign the same
-  versions, and leave every replica with identical version vectors and
-  contents.
+* **Exact equivalence** -- a batched run and a sequential run of the
+  same operation stream return the same bytes (or fail the same way),
+  assign the same versions, and leave every replica with identical
+  version vectors and contents.  Members crash and repair *between*
+  operations and the group may run under an (RF, R, W) policy, where
+  the batched operations must also park the same hints, push the same
+  read repairs and -- batch for batch of one block -- send the same
+  number of messages as the single-block ones.
 * **Consistency under faults** -- with crashes (including mid-fan-out),
   delivery drops, corruption and repairs interleaved, batched
   operations never let the history checker observe a read outside the
@@ -17,9 +21,9 @@ consistency schemes:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core import QuorumSpec, VotingProtocol
+from repro.core import QuorumPolicy, QuorumSpec, VotingProtocol
 from repro.core.available_copy import AvailableCopyProtocol
 from repro.core.naive import NaiveAvailableCopyProtocol
 from repro.device import Site
@@ -37,11 +41,25 @@ sites = st.integers(min_value=0, max_value=N_SITES - 1)
 blocks = st.integers(min_value=0, max_value=N_BLOCKS - 1)
 values = st.integers(min_value=1, max_value=255)
 
-#: A batched write ({block: value}) or a batched read ([blocks]).
-fault_free_steps = st.one_of(
+#: A batched write ({block: value}), a batched read ([blocks]), or a
+#: member other than the origin crashing / repairing between operations.
+equivalence_steps = st.one_of(
     st.dictionaries(blocks, values, min_size=1, max_size=N_BLOCKS),
     st.lists(blocks, min_size=1, max_size=N_BLOCKS),
+    st.tuples(st.sampled_from(["crash", "repair"]),
+              st.integers(min_value=1, max_value=N_SITES - 1)),
 )
+
+SLOPPY = QuorumPolicy(N_SITES, 2, 2, allow_sloppy=True)
+#: Stale members stay stale until a read repairs them.
+NO_HANDOFF = QuorumPolicy(
+    N_SITES, 2, 2, allow_sloppy=True, hinted_handoff=False
+)
+#: R = 1: reads are local, zero messages.
+READ_ONE = QuorumPolicy(N_SITES, 1, N_SITES)
+policies = st.sampled_from([
+    None, QuorumPolicy(N_SITES, 2, 3), READ_ONE, SLOPPY, NO_HANDOFF,
+])
 
 faulty_events = st.one_of(
     st.tuples(st.just("write_batch"),
@@ -63,50 +81,94 @@ def fill(value: int) -> bytes:
     return bytes([value]) * BLOCK_SIZE
 
 
-def make_protocol(scheme, recorder=None):
+def make_protocol(scheme, recorder=None, policy=None):
     if scheme is SchemeName.VOTING:
         spec = QuorumSpec.majority(N_SITES)
         group = [
             Site(i, N_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
             for i in range(N_SITES)
         ]
-        protocol = VotingProtocol(group, Network(), spec=spec)
+        protocol = VotingProtocol(
+            group, Network(), spec=spec, policy=policy
+        )
     else:
         group = [Site(i, N_BLOCKS, BLOCK_SIZE) for i in range(N_SITES)]
         if scheme is SchemeName.AVAILABLE_COPY:
-            protocol = AvailableCopyProtocol(group, Network())
+            protocol = AvailableCopyProtocol(
+                group, Network(), policy=policy
+            )
         else:
-            protocol = NaiveAvailableCopyProtocol(group, Network())
+            protocol = NaiveAvailableCopyProtocol(
+                group, Network(), policy=policy
+            )
     protocol.recorder = recorder
     return protocol
 
 
+def outcome(operation):
+    """What ``operation`` returns, or the type of error it fails with."""
+    try:
+        return operation()
+    except DeviceError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeName))
 @settings(max_examples=50, deadline=None)
-@given(steps=st.lists(fault_free_steps, min_size=1, max_size=12))
-def test_batched_exactly_equals_sequential(scheme, steps):
-    """Same bytes, same versions, same final replica state."""
-    batched = make_protocol(scheme)
-    sequential = make_protocol(scheme)
+@given(
+    steps=st.lists(equivalence_steps, min_size=1, max_size=12),
+    policy=policies,
+    one_block=st.booleans(),
+)
+# The three single-vs-batch divergences the shared operation bodies
+# removed: a batched write parked no hint for a down member, a batched
+# read pushed no read repair, and an R = 1 batched read paid for a
+# vote round.
+@example(steps=[("crash", 3), {0: 1}], policy=SLOPPY, one_block=False)
+@example(
+    steps=[("crash", 3), {0: 1}, ("repair", 3), [0]],
+    policy=NO_HANDOFF, one_block=False,
+)
+@example(steps=[[0]], policy=READ_ONE, one_block=True)
+def test_batched_exactly_equals_sequential(scheme, steps, policy, one_block):
+    """Same bytes, same versions, same final replica state, same
+    hinted-handoff and read-repair activity; with ``one_block`` every
+    batch is cut to its first block, and the message totals match too."""
+    batched = make_protocol(scheme, policy=policy)
+    sequential = make_protocol(scheme, policy=policy)
     for step in steps:
-        if isinstance(step, dict):
-            updates = {b: fill(v) for b, v in step.items()}
-            versions = batched.write_batch(0, updates)
-            expected = {
-                b: sequential.write(0, b, updates[b])
-                for b in sorted(updates)
-            }
+        if isinstance(step, tuple):
+            kind, site_id = step
+            for protocol in (batched, sequential):
+                down = protocol.site(site_id).state is SiteState.FAILED
+                if kind == "crash" and not down:
+                    protocol.on_site_failed(site_id)
+                elif kind == "repair" and down:
+                    protocol.on_site_repaired(site_id)
+        elif isinstance(step, dict):
+            chosen = sorted(step)[:1] if one_block else sorted(step)
+            updates = {b: fill(step[b]) for b in chosen}
+            versions = outcome(lambda: batched.write_batch(0, updates))
+            expected = outcome(lambda: {
+                b: sequential.write(0, b, updates[b]) for b in chosen
+            })
             assert versions == expected
         else:
-            got = batched.read_batch(0, step)
-            expected = {
-                b: sequential.read(0, b) for b in dict.fromkeys(step)
-            }
+            wanted = step[:1] if one_block else step
+            got = outcome(lambda: batched.read_batch(0, wanted))
+            expected = outcome(lambda: {
+                b: sequential.read(0, b) for b in dict.fromkeys(wanted)
+            })
             assert got == expected
     for a, b in zip(batched.sites, sequential.sites):
         assert a.version_vector() == b.version_vector()
         for block in range(N_BLOCKS):
             assert a.store.read(block) == b.store.read(block)
+    assert batched.hints_parked == sequential.hints_parked
+    assert batched.hints_replayed == sequential.hints_replayed
+    assert batched.read_repairs == sequential.read_repairs
+    if one_block:
+        assert batched.meter.total == sequential.meter.total
 
 
 def apply_batched_history(scheme, history):
