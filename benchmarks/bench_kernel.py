@@ -12,8 +12,9 @@ workloads on fixed seeds:
   group under a Poisson open loop with failures and repairs (tracing
   off, the default);
 * ``protocol-traced`` -- the same workload with the span tracer ON,
-  which keeps the observability layer's tracing-*on* overhead measured,
-  not just the tracing-off overhead ``bench_obs`` covers.
+  which keeps the observability layer's tracing-*on* overhead measured
+  at the protocol level (``benchmarks/stack``'s ``block_mcv_obs`` does
+  the same through the whole device stack).
 
 Each invocation appends one labelled record to the committed trajectory
 ``BENCH_kernel.json`` (``--label before`` / ``--label after``); an

@@ -38,7 +38,7 @@ from ..errors import (
     StaleEpochError,
 )
 from ..net.network import Network
-from ..obs.trace import _NULL_SPAN, Span
+from ..obs.trace import _NULL_SPAN
 from ..net.traffic import TrafficMeter
 from ..sim.failures import FailureRepairProcess
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
@@ -200,23 +200,7 @@ class ReplicationProtocol(abc.ABC):
             attrs["batch"] = batch
         if local:
             attrs["local"] = True
-        clock = tracer._clock
-        if clock is None:
-            # Tick-clocked tracer: the method path advances the tick.
-            return tracer.span(f"protocol.{op}", layer="protocol", **attrs)
-        # Clocked tracer: build the record inline -- same id, name,
-        # timestamp and attrs ``Tracer.span`` would write, minus the
-        # call frame, the layer re-validation and the kwargs repack.
-        record = [
-            tracer._next_id, f"protocol.{op}", "protocol",
-            float(clock()), attrs, None, "",
-        ]
-        tracer._next_id = record[0] + 1
-        tracer._records.append(record)
-        pool = tracer._span_pool
-        if pool:
-            return pool.pop()._reuse(record)
-        return Span(tracer, record)
+        return tracer.open_span(f"protocol.{op}", "protocol", attrs)
 
     # -- pooled round state ---------------------------------------------------
 
@@ -582,13 +566,12 @@ class ReplicationProtocol(abc.ABC):
         """Attribute messages sent since ``start_total`` to recovery."""
         spent = self.meter.total - start_total
         self.meter.messages_for("recovery").add(spent)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "protocol.recovery",
-                layer="protocol",
-                scheme=self.scheme.value,
-                messages=spent,
-            )
+        self.tracer.event(
+            "protocol.recovery",
+            layer="protocol",
+            scheme=self._scheme_value,
+            messages=spent,
+        )
 
     # -- invariants (used by tests and debug assertions) --------------------------
 

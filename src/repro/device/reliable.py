@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Sequence
 
 from ..core.protocol import ReplicationProtocol
-from ..obs.trace import NULL_TRACER
 from ..errors import (
     CorruptBlockError,
     DeviceUnavailableError,
@@ -222,19 +221,23 @@ class ReliableDevice(BlockDevice):
         """The span tracer (the group network's; a no-op unless wired)."""
         return self._protocol.tracer
 
-    def _span(self, op: str, **attrs):
-        """Open a ``device.<op>`` span; stamps the retries it consumed."""
+    def _span(self, op: str, key: str, value: int):
+        """Open a ``device.<op>`` span; stamps the retries it consumed.
+
+        ``key`` is ``"block"`` (the index) or ``"batch"`` (the count).
+        """
         tracer = self.tracer
         if not tracer.enabled:
-            return NULL_TRACER.span(op, "device")
+            return tracer.span(op, "device")  # the shared no-op handle
+        attrs = {"origin": self._origin, key: value}
         policy = self._protocol.policy
         if policy is not None:
             # Tag policy-configured runs so traces from a sweep are
             # attributable to their (RF, R, W) point without a join.
             attrs["policy"] = policy.describe()
-        return _DeviceSpan(self, tracer.span(
-            f"device.{op}", layer="device", origin=self._origin, **attrs,
-        ))
+        return _DeviceSpan(
+            self, tracer.open_span(f"device.{op}", "device", attrs)
+        )
 
     @property
     def origin(self) -> SiteId:
@@ -324,7 +327,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.read_rounds += 1
             return self._protocol.read(origin, index)
 
-        with self._span("read", block=index):
+        with self._span("read", "block", index):
             try:
                 data = self._with_retries(attempt)
             except CorruptBlockError:
@@ -350,7 +353,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.write_rounds += 1
             return self._protocol.write(origin, index, data)
 
-        with self._span("write", block=index):
+        with self._span("write", "block", index):
             try:
                 version = self._with_retries(attempt)
             except (DeviceUnavailableError, SiteDownError):
@@ -383,7 +386,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.read_rounds += 1
             return self._protocol.read_batch(origin, ordered)
 
-        with self._span("read_batch", batch=len(ordered)):
+        with self._span("read_batch", "batch", len(ordered)):
             try:
                 data = self._with_retries(attempt)
             except CorruptBlockError:
@@ -419,7 +422,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.write_rounds += 1
             return self._protocol.write_batch(origin, writes)
 
-        with self._span("write_batch", batch=len(writes)):
+        with self._span("write_batch", "batch", len(writes)):
             try:
                 versions = self._with_retries(attempt)
             except (DeviceUnavailableError, SiteDownError):

@@ -303,21 +303,19 @@ def _inject_one(rng, config, protocol, injector, device) -> None:
             injector.corrupt_block(
                 site_id, block, flip=rng.randrange(config.block_size)
             )
-            if tracer.enabled:
-                tracer.event(
-                    "chaos.fault", layer="chaos", kind="corrupt",
-                    site=site_id, block=block,
-                )
+            tracer.event(
+                "chaos.fault", layer="chaos", kind="corrupt",
+                site=site_id, block=block,
+            )
     elif kind == "crash":
         up = [s.site_id for s in protocol.operational_sites()]
         if up:
             victim = rng.choice(up)
             injector.crash_site(victim)
-            if tracer.enabled:
-                tracer.event(
-                    "chaos.fault", layer="chaos", kind="crash",
-                    site=victim,
-                )
+            tracer.event(
+                "chaos.fault", layer="chaos", kind="crash",
+                site=victim,
+            )
     elif kind == "mid_write":
         try:
             origin = device.current_origin()
@@ -325,20 +323,18 @@ def _inject_one(rng, config, protocol, injector, device) -> None:
             return
         survivors = rng.randrange(1, max(2, config.num_sites - 1))
         injector.arm_mid_write_crash(origin, survivors=survivors)
-        if tracer.enabled:
-            tracer.event(
-                "chaos.fault", layer="chaos", kind="mid_write",
-                site=origin, survivors=survivors,
-            )
+        tracer.event(
+            "chaos.fault", layer="chaos", kind="mid_write",
+            site=origin, survivors=survivors,
+        )
     elif kind == "drop":
         victim = rng.choice(site_ids)
         count = rng.randrange(1, 4)
         injector.drop_deliveries(victim, count=count)
-        if tracer.enabled:
-            tracer.event(
-                "chaos.fault", layer="chaos", kind="drop",
-                site=victim, count=count,
-            )
+        tracer.event(
+            "chaos.fault", layer="chaos", kind="drop",
+            site=victim, count=count,
+        )
 
 
 def _scrub_quietly(protocol) -> None:
@@ -389,11 +385,10 @@ def _reconfigure_one(rng, config, manager, spares) -> None:
             spares.pop(0)
     except MembershipError:
         return
-    if tracer.enabled:
-        tracer.event(
-            "chaos.reconfigure", layer="chaos", kind=kind,
-            epoch=protocol.current_epoch(),
-        )
+    tracer.event(
+        "chaos.reconfigure", layer="chaos", kind=kind,
+        epoch=protocol.current_epoch(),
+    )
 
 
 def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
@@ -442,12 +437,11 @@ def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
             except MembershipError:
                 return
             spares.pop(0)
-            if protocol.tracer.enabled:
-                protocol.tracer.event(
-                    "chaos.reconfigure", layer="chaos",
-                    kind="crash-replace", site=origin,
-                    epoch=protocol.current_epoch(),
-                )
+            protocol.tracer.event(
+                "chaos.reconfigure", layer="chaos",
+                kind="crash-replace", site=origin,
+                epoch=protocol.current_epoch(),
+            )
 
         injector.on_mid_write_crash = crash_replace
     result = ChaosResult(
@@ -511,10 +505,9 @@ def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
             if down:
                 repaired = rng.choice(down)
                 injector.repair_site(repaired)
-                if protocol.tracer.enabled:
-                    protocol.tracer.event(
-                        "chaos.repair", layer="chaos", site=repaired,
-                    )
+                protocol.tracer.event(
+                    "chaos.repair", layer="chaos", site=repaired,
+                )
         # Like batch_rate, the reconfigure_rate > 0 guard keeps legacy
         # schedules' rng draw sequences byte-identical: dynamic
         # membership adds its draw (and its deterministic catch-up
@@ -560,11 +553,10 @@ def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
     for site in protocol.sites:
         if site.state is SiteState.FAILED:
             injector.repair_site(site.site_id)
-            if protocol.tracer.enabled:
-                protocol.tracer.event(
-                    "chaos.repair", layer="chaos", site=site.site_id,
-                    quiescence=True,
-                )
+            protocol.tracer.event(
+                "chaos.repair", layer="chaos", site=site.site_id,
+                quiescence=True,
+            )
     if manager is not None and manager.in_transition:
         # Drain any open transition window now that every member is
         # back up; a window that still cannot commit (e.g. the joiner's

@@ -220,15 +220,14 @@ class MembershipManager:
         committed = self._maybe_commit()
         spent = protocol.meter.total - before
         protocol.meter.messages_for("membership").add(spent)
-        if protocol.tracer.enabled:
-            protocol.tracer.event(
-                "membership.step",
-                layer="membership",
-                scheme=protocol.scheme.value,
-                epoch=protocol.current_epoch(),
-                messages=spent,
-                committed=committed,
-            )
+        protocol.tracer.event(
+            "membership.step",
+            layer="membership",
+            scheme=protocol.scheme.value,
+            epoch=protocol.current_epoch(),
+            messages=spent,
+            committed=committed,
+        )
         return committed
 
     def finalize(self, max_steps: int = 64) -> bool:
@@ -507,12 +506,11 @@ class MembershipManager:
         spent = protocol.meter.total - before
         if spent:
             protocol.meter.messages_for("membership").add(spent)
-        if protocol.tracer.enabled:
-            protocol.tracer.event(
-                name,
-                layer="membership",
-                scheme=protocol.scheme.value,
-                epoch=view.epoch,
-                sites=list(view.sites),
-                messages=spent,
-            )
+        protocol.tracer.event(
+            name,
+            layer="membership",
+            scheme=protocol.scheme.value,
+            epoch=view.epoch,
+            sites=list(view.sites),
+            messages=spent,
+        )

@@ -121,12 +121,9 @@ class Message:
     replica group; on a multicast network it costs one transmission, on a
     unique-addressing network one per addressed destination.
 
-    Instances are plain mutable ``__slots__`` objects (not frozen
-    dataclasses) so the network can pool them on the request fast path:
-    :meth:`reuse_as` re-initialises a pooled instance as a fresh logical
-    message with a new ``msg_id``.  Holders outside the network (the
-    delivery interceptor) must treat a message as valid only for the
-    duration of the call that passed it in.
+    The network builds one only when a delivery interceptor is installed
+    (metering works from the category and payload alone); every
+    destination of one fan-out is shown the same instance.
     """
 
     __slots__ = ("src", "dst", "category", "payload", "msg_id")
@@ -144,21 +141,6 @@ class Message:
         self.category = category
         self.payload = payload
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
-
-    def reuse_as(
-        self,
-        src: SiteId,
-        dst: Optional[SiteId],
-        category: MessageCategory,
-        payload: Any,
-    ) -> "Message":
-        """Re-initialise this instance as a new logical message (pooling)."""
-        self.src = src
-        self.dst = dst
-        self.category = category
-        self.payload = payload
-        self.msg_id = next(_message_ids)
-        return self
 
     @property
     def is_broadcast(self) -> bool:

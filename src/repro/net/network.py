@@ -122,16 +122,13 @@ class Network:
         self._partition: Dict[SiteId, int] = {}
         #: Optional fault-injection hook; None on the fault-free path.
         self._interceptor: Optional[DeliveryInterceptor] = None
-        #: Freelist of :class:`Message` instances reused on the request
-        #: path (only exercised when an interceptor needs real objects).
-        self._message_pool: List[Message] = []
         #: Span tracer shared by the protocols and the scrub; the null
         #: tracer (a no-op) unless observability is wired in.
         self._tracer = NULL_TRACER
-        #: ``tracer.event`` when tracing is on, else None -- one cached
+        #: ``tracer.emit`` when tracing is on, else None -- one cached
         #: bound method replaces two attribute lookups per metered
-        #: message (``self._tracer.enabled`` + ``self._tracer.event``).
-        self._trace_event: Optional[Any] = None
+        #: message (``self._tracer.enabled`` + ``self._tracer.emit``).
+        self._emit: Optional[Callable[..., None]] = None
         self.set_tracer(tracer)
 
     # -- observability ------------------------------------------------------
@@ -144,9 +141,7 @@ class Network:
     def set_tracer(self, tracer: Optional[Any]) -> None:
         """Install (or with None, remove) the span tracer."""
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace_event = (
-            self._tracer.event if self._tracer.enabled else None
-        )
+        self._emit = self._tracer.emit if self._tracer.enabled else None
 
     # -- fault injection ----------------------------------------------------
 
@@ -266,8 +261,8 @@ class Network:
     # -- transmission cost accounting -----------------------------------------
     #
     # Metering works from (category, payload) directly: no Message object
-    # exists on the fast path (one is built -- from the pool -- only when
-    # a delivery interceptor needs it, and replies are never intercepted).
+    # exists on the fast path (one is built only when a delivery
+    # interceptor needs it, and replies are never intercepted).
 
     def _count_request(
         self,
@@ -293,31 +288,18 @@ class Network:
         self._meter.count_for(
             category, transmissions=transmissions, bytes_each=size
         )
-        trace_event = self._trace_event
-        if trace_event is not None:
+        emit = self._emit
+        if emit is not None:
             # ``._value_`` is the member's plain value slot; ``.value``
             # resolves through a Python-level DynamicClassAttribute
             # descriptor on every metered message.
-            attrs = {
+            emit("net.request", "net", {
                 "category": category._value_,
                 "src": src,
                 "destinations": len(destinations),
                 "transmissions": transmissions,
                 "bytes_each": size,
-            }
-            tracer = self._tracer
-            clock = tracer._clock
-            if clock is not None:
-                # Clocked tracer: append the event record inline (same
-                # id, timestamp and attrs ``Tracer.event`` would write,
-                # minus the call).  Tick clocks keep the method path.
-                rec_id = tracer._next_id
-                tracer._records.append(
-                    (rec_id, "net.request", "net", float(clock()), attrs)
-                )
-                tracer._next_id = rec_id + 1
-            else:
-                trace_event("net.request", layer="net", **attrs)
+            })
 
     def _count_reply(
         self,
@@ -329,44 +311,14 @@ class Network:
         """Meter a reply: replies are always individually addressed."""
         size = self._size_model.bytes_of(category, payload)
         self._meter.count_for(category, transmissions=1, bytes_each=size)
-        trace_event = self._trace_event
-        if trace_event is not None:
-            attrs = {
+        emit = self._emit
+        if emit is not None:
+            emit("net.reply", "net", {
                 "category": category._value_,
                 "src": src,
                 "dst": dst,
                 "bytes_each": size,
-            }
-            tracer = self._tracer
-            clock = tracer._clock
-            if clock is not None:
-                rec_id = tracer._next_id
-                tracer._records.append(
-                    (rec_id, "net.reply", "net", float(clock()), attrs)
-                )
-                tracer._next_id = rec_id + 1
-            else:
-                trace_event("net.reply", layer="net", **attrs)
-
-    # -- message pooling (interceptor path only) --------------------------------
-
-    def _borrow_message(
-        self,
-        src: SiteId,
-        dst: Optional[SiteId],
-        category: MessageCategory,
-        payload: Any,
-    ) -> Message:
-        """A fresh logical message, reusing a pooled instance if any."""
-        pool = self._message_pool
-        if pool:
-            return pool.pop().reuse_as(src, dst, category, payload)
-        return Message(src, dst, category, payload)
-
-    def _release_message(self, message: Message) -> None:
-        """Return ``message`` to the pool once no holder remains."""
-        message.payload = None
-        self._message_pool.append(message)
+            })
 
     # -- communication primitives ---------------------------------------------
 
@@ -408,33 +360,29 @@ class Network:
         self._count_request(request, src, payload, pairs, True)
         hook = self._interceptor
         message = (
-            self._borrow_message(src, BROADCAST, request, payload)
+            Message(src, BROADCAST, request, payload)
             if hook is not None else None
         )
         partition = self._partition
         replies: Dict[SiteId, Any] = {}
-        try:
-            for dst, node in pairs:
-                if node is None:
-                    raise UnknownSiteError(dst)
-                if not node.is_reachable:
+        for dst, node in pairs:
+            if node is None:
+                raise UnknownSiteError(dst)
+            if not node.is_reachable:
+                continue
+            if partition and partition.get(src) != partition.get(dst):
+                continue
+            if hook is not None:
+                if not hook.allow_delivery(message, dst):
                     continue
-                if partition and partition.get(src) != partition.get(dst):
-                    continue
-                if hook is not None:
-                    if not hook.allow_delivery(message, dst):
-                        continue
-                    result = handler(node, payload)
-                    hook.after_delivery(message, dst)
-                else:
-                    result = handler(node, payload)
-                if result is NO_REPLY:
-                    continue
-                self._count_reply(reply, dst, src, result)
-                replies[dst] = result
-        finally:
-            if message is not None:
-                self._release_message(message)
+                result = handler(node, payload)
+                hook.after_delivery(message, dst)
+            else:
+                result = handler(node, payload)
+            if result is NO_REPLY:
+                continue
+            self._count_reply(reply, dst, src, result)
+            replies[dst] = result
         return replies
 
     def broadcast_round(
@@ -457,11 +405,8 @@ class Network:
         pure counter arithmetic, so ``k`` transmissions of ``size``
         bytes accumulate identically either way.  The flush sits in a
         ``finally`` so a handler that raises mid-loop still meters the
-        replies already received, matching the per-reply path.  With
-        tracing on (and a real clock installed), the per-reply
-        ``net.reply`` event record is appended to the tracer inline --
-        same id, name, timestamp and attrs a :meth:`Tracer.event` call
-        would produce, minus the call itself.
+        replies already received, matching the per-reply path.  Each
+        reply still emits its own ``net.reply`` event as it arrives.
         """
         if destinations is None:
             pairs = self._peers(src)
@@ -471,7 +416,7 @@ class Network:
         self._count_request(request, src, payload, pairs, True)
         hook = self._interceptor
         message = (
-            self._borrow_message(src, BROADCAST, request, payload)
+            Message(src, BROADCAST, request, payload)
             if hook is not None else None
         )
         partition = self._partition
@@ -481,20 +426,7 @@ class Network:
         out_ids = out.ids
         out_values = out.values
         fixed = self._size_model.fixed_bytes(reply)
-        tracer = self._tracer
-        if self._trace_event is None:
-            records = clock = None
-        else:
-            # Tick-clocked tracers (unit tests) keep the method path;
-            # the id counter is read fresh per event rather than cached
-            # across the loop so a handler that itself records stays
-            # correctly interleaved.
-            clock = tracer._clock
-            records = tracer._records if clock is not None else None
-            if records is None:
-                fixed = None
-            else:
-                reply_value = reply._value_
+        emit = self._emit
         batched = 0
         try:
             for dst, node in pairs:
@@ -516,18 +448,13 @@ class Network:
                 if fixed is None:
                     self._count_reply(reply, dst, src, result)
                 else:
-                    if records is not None:
-                        rec_id = tracer._next_id
-                        records.append((
-                            rec_id, "net.reply", "net", float(clock()),
-                            {
-                                "category": reply_value,
-                                "src": dst,
-                                "dst": src,
-                                "bytes_each": fixed,
-                            },
-                        ))
-                        tracer._next_id = rec_id + 1
+                    if emit is not None:
+                        emit("net.reply", "net", {
+                            "category": reply._value_,
+                            "src": dst,
+                            "dst": src,
+                            "bytes_each": fixed,
+                        })
                     batched += 1
                 i = out.count
                 out_ids[i] = dst
@@ -540,8 +467,6 @@ class Network:
                 self._meter.count_for(
                     reply, transmissions=batched, bytes_each=fixed
                 )
-            if message is not None:
-                self._release_message(message)
 
     def broadcast_oneway(
         self,
@@ -565,30 +490,26 @@ class Network:
         self._count_request(category, src, payload, pairs, True)
         hook = self._interceptor
         message = (
-            self._borrow_message(src, BROADCAST, category, payload)
+            Message(src, BROADCAST, category, payload)
             if hook is not None else None
         )
         partition = self._partition
         delivered: List[SiteId] = []
-        try:
-            for dst, node in pairs:
-                if node is None:
-                    raise UnknownSiteError(dst)
-                if not node.is_reachable:
+        for dst, node in pairs:
+            if node is None:
+                raise UnknownSiteError(dst)
+            if not node.is_reachable:
+                continue
+            if partition and partition.get(src) != partition.get(dst):
+                continue
+            if hook is not None:
+                if not hook.allow_delivery(message, dst):
                     continue
-                if partition and partition.get(src) != partition.get(dst):
-                    continue
-                if hook is not None:
-                    if not hook.allow_delivery(message, dst):
-                        continue
-                    handler(node, payload)
-                    hook.after_delivery(message, dst)
-                else:
-                    handler(node, payload)
-                delivered.append(dst)
-        finally:
-            if message is not None:
-                self._release_message(message)
+                handler(node, payload)
+                hook.after_delivery(message, dst)
+            else:
+                handler(node, payload)
+            delivered.append(dst)
         return delivered
 
     def unicast_query(
@@ -611,14 +532,11 @@ class Network:
             return False, None
         hook = self._interceptor
         if hook is not None:
-            message = self._borrow_message(src, dst, request, payload)
-            try:
-                if not hook.allow_delivery(message, dst):
-                    return False, None
-                result = handler(node, payload)
-                hook.after_delivery(message, dst)
-            finally:
-                self._release_message(message)
+            message = Message(src, dst, request, payload)
+            if not hook.allow_delivery(message, dst):
+                return False, None
+            result = handler(node, payload)
+            hook.after_delivery(message, dst)
         else:
             result = handler(node, payload)
         if result is NO_REPLY:
@@ -643,12 +561,9 @@ class Network:
         if hook is None:
             handler(node, payload)
             return True
-        message = self._borrow_message(src, dst, category, payload)
-        try:
-            if not hook.allow_delivery(message, dst):
-                return False
-            handler(node, payload)
-            hook.after_delivery(message, dst)
-        finally:
-            self._release_message(message)
+        message = Message(src, dst, category, payload)
+        if not hook.allow_delivery(message, dst):
+            return False
+        handler(node, payload)
+        hook.after_delivery(message, dst)
         return True

@@ -4,29 +4,40 @@ The paper's evaluation is quantitative -- availability from Markov models
 (Section 4) and per-operation traffic (Section 5) -- but *debugging* a
 replicated device needs to see one operation travel device -> protocol ->
 network (and the background scrub and chaos machinery around it).  A
-:class:`Tracer` collects :class:`SpanRecord` objects from every layer:
+:class:`Tracer` collects records from every layer:
 
-* ``device.*``   -- :class:`~repro.device.reliable.ReliableDevice` ops,
+* ``device.*``     -- :class:`~repro.device.reliable.ReliableDevice` ops,
   with retry counts and outcomes;
-* ``protocol.*`` -- each scheme's read/write/batch rounds and recovery;
-* ``net.*``      -- request/reply transmissions with category and bytes;
-* ``scrub.*``    -- audit and repair passes;
-* ``chaos.*``    -- injected faults and repairs.
+* ``protocol.*``   -- each scheme's read/write/batch rounds and recovery;
+* ``net.*``        -- request/reply transmissions with category and bytes;
+* ``scrub.*``      -- audit and repair passes;
+* ``chaos.*``      -- injected faults and repairs;
+* ``membership.*`` -- view-change opens, catch-up steps and commits.
+
+There is one emit path.  :meth:`Tracer.emit` (a point event) and
+:meth:`Tracer.open_span` (a span, closed by its handle) take the
+attribute dict positionally and are the only code that assigns a span
+id, reads the clock for a new record and appends it; ``event(**attrs)``
+/ ``span(**attrs)`` are their keyword spellings.  Every record is
+stored in one layout, ``[id, name, layer, start, end, outcome,
+attrs]``, and becomes a :class:`SpanRecord` only when queried
+(:meth:`Tracer.spans`) or exported as JSON lines
+(:meth:`Tracer.export`).
 
 Timestamps are **simulated** time when the tracer is built with a clock
-(``Tracer(clock=lambda: sim.now)``); without one a logical tick counter
-keeps records totally ordered.  Spans export as JSON lines
-(:meth:`Tracer.export`) and are queryable in-process
-(:meth:`Tracer.spans`).
+(``Tracer(clock=sim.now_reader())``); without one a logical tick
+counter is installed as the clock and keeps records totally ordered.
 
 Tracing defaults to *off* everywhere via the shared :data:`NULL_TRACER`,
 whose span handles are single pre-allocated no-ops -- the hot paths pay
-one attribute lookup and an empty context manager, nothing more (see
-``benchmarks/bench_obs.py`` for the measurement).
+one attribute lookup and an empty context manager, nothing more.  The
+``block_mcv`` / ``block_mcv_obs`` workloads of ``benchmarks/stack``
+measure the off and the on cost.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import (
     Any,
@@ -36,6 +47,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
 )
 
 __all__ = [
@@ -58,15 +70,23 @@ LAYERS = (
     "membership",
 )
 
-#: Frozenset mirror of :data:`LAYERS` for the per-span membership check
+#: Frozenset mirror of :data:`LAYERS` for the per-record membership check
 #: (hash probe instead of a linear tuple scan on the recording path).
 _LAYER_SET = frozenset(LAYERS)
 
 OUTCOME_OK = "ok"
 
+# Slots of a stored record ``[id, name, layer, start, end, outcome,
+# attrs]`` that are read or written by position outside the primitives.
+_NAME, _LAYER, _END, _OUTCOME, _ATTRS = 1, 2, 4, 5, 6
+
 
 class SpanRecord:
-    """One finished (or still open) span: who, when, what happened."""
+    """One finished (or still open) span: who, when, what happened.
+
+    A view of one stored record, built per query; ``attrs`` is the
+    record's own dict, not a copy.
+    """
 
     __slots__ = (
         "span_id", "name", "layer", "start", "end", "outcome", "attrs",
@@ -78,14 +98,16 @@ class SpanRecord:
         name: str,
         layer: str,
         start: float,
+        end: Optional[float],
+        outcome: str,
         attrs: Dict[str, Any],
     ) -> None:
         self.span_id = span_id
         self.name = name
         self.layer = layer
         self.start = start
-        self.end: Optional[float] = None
-        self.outcome: str = ""
+        self.end = end
+        self.outcome = outcome
         self.attrs = attrs
 
     @property
@@ -126,17 +148,6 @@ class Span:
     ``"ok"`` or ``"error:<ExceptionType>"``; exceptions always
     propagate.  :meth:`set` attaches attributes at any point while the
     span is open.
-
-    Handles are pooled by their tracer (like the network's
-    :class:`~repro.net.message.Message` instances): ``__exit__``
-    returns the handle to a freelist and a later :meth:`Tracer.span`
-    re-targets it at a fresh record.  Records start life as plain
-    7-slot lists (``[id, name, layer, start, attrs, end, outcome]``)
-    and are materialised into :class:`SpanRecord` objects lazily on the
-    first query (see :meth:`Tracer._solidify`), so the traced hot path
-    allocates one small list per span instead of a full record object.
-    Holders must treat a handle as valid only between ``__enter__`` and
-    ``__exit__``.
     """
 
     __slots__ = ("_tracer", "_record")
@@ -145,14 +156,9 @@ class Span:
         self._tracer = tracer
         self._record = record
 
-    def _reuse(self, record: List[Any]) -> "Span":
-        """Re-target this pooled handle at a fresh record."""
-        self._record = record
-        return self
-
     def set(self, **attrs: Any) -> "Span":
         """Attach (or overwrite) span attributes."""
-        self._record[4].update(attrs)
+        self._record[_ATTRS].update(attrs)
         return self
 
     def __enter__(self) -> "Span":
@@ -160,18 +166,11 @@ class Span:
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
         record = self._record
-        tracer = self._tracer
-        clock = tracer._clock
-        if clock is not None:
-            record[5] = float(clock())
-        else:
-            tracer._tick += 1
-            record[5] = float(tracer._tick)
-        record[6] = (
+        record[_END] = self._tracer.now()
+        record[_OUTCOME] = (
             OUTCOME_OK if exc_type is None
             else f"error:{exc_type.__name__}"
         )
-        tracer._span_pool.append(self)
         return False
 
 
@@ -196,9 +195,9 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """A tracer that records nothing (the default everywhere).
 
-    It honours the full :class:`Tracer` interface so instrumented code
-    never branches on whether tracing is on; every call is a no-op
-    returning shared singletons.
+    It has every public attribute of :class:`Tracer` (a test compares
+    the two sets), so instrumented code never branches on whether
+    tracing is on; every call is a no-op returning shared singletons.
     """
 
     enabled = False
@@ -206,19 +205,39 @@ class NullTracer:
     def now(self) -> float:
         return 0.0
 
-    def span(self, name: str, layer: str = "", **attrs: Any) -> _NullSpan:
+    def set_clock(self, clock: Optional[Callable[[], float]]) -> None:
+        return None
+
+    def emit(self, name: str, layer: str, attrs: Dict[str, Any]) -> None:
+        return None
+
+    def open_span(
+        self, name: str, layer: str, attrs: Dict[str, Any]
+    ) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, layer: str = "", **attrs: Any) -> None:
         return None
 
+    def span(self, name: str, layer: str = "", **attrs: Any) -> _NullSpan:
+        return _NULL_SPAN
+
     def spans(self, **_filters: Any) -> List[SpanRecord]:
         return []
+
+    def layers(self) -> Dict[str, int]:
+        return {}
+
+    def __len__(self) -> int:
+        return 0
 
     def clear(self) -> None:
         return None
 
     def export(self, stream: IO[str]) -> int:
+        return 0
+
+    def dump(self, path: str) -> int:
         return 0
 
 
@@ -233,127 +252,76 @@ class Tracer:
     ----------
     clock:
         Zero-argument callable returning the current (simulated) time.
-        Omitted, a logical tick counter stands in: each :meth:`now` call
-        advances it by one, keeping records totally ordered.
+        Omitted, a logical tick counter is installed as the clock: each
+        read advances it by one, keeping records totally ordered.
     """
 
     enabled = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock
-        self._tick = 0
+        #: The logical clock: 1, 2, 3, ... over the tracer's lifetime.
+        self._tick: Callable[[], float] = itertools.count(1).__next__
         self._next_id = 0
-        #: Records in creation order.  The hot recording paths append
-        #: cheap containers -- a 5-tuple per event, a mutable 7-slot
-        #: list per span -- which :meth:`_solidify` materialises into
-        #: :class:`SpanRecord` objects on the first query.  Closed
-        #: records solidify in place (stable identity across queries);
-        #: a still-open span stays a live list so its handle's
-        #: ``__exit__`` keeps working, and queries see it through a
-        #: transient view.
-        self._records: List[Any] = []
-        #: Freelist of exited Span handles awaiting reuse.
-        self._span_pool: List[Span] = []
+        #: Records in creation order, each ``[id, name, layer, start,
+        #: end, outcome, attrs]``: a tuple for an event (complete when
+        #: appended), a list for a span (``end`` stays None until its
+        #: handle stamps end and outcome on exit).
+        self._records: List[Sequence[Any]] = []
+        self.set_clock(clock)
 
     # -- time ---------------------------------------------------------------
 
     def now(self) -> float:
-        """Current trace time: the clock, or a logical tick counter."""
-        if self._clock is not None:
-            return float(self._clock())
-        self._tick += 1
-        return float(self._tick)
+        """Current trace time, read from the installed clock."""
+        return float(self._clock())
 
     def set_clock(self, clock: Optional[Callable[[], float]]) -> None:
-        """Install (or with None, remove) the time source."""
-        self._clock = clock
+        """Install the time source (None: back to the tick counter)."""
+        self._clock = clock if clock is not None else self._tick
 
-    # -- recording ----------------------------------------------------------
+    # -- recording: the two primitives --------------------------------------
 
-    def span(self, name: str, layer: str, **attrs: Any) -> Span:
-        """Open a span; use as a context manager around the operation.
+    def emit(self, name: str, layer: str, attrs: Dict[str, Any]) -> None:
+        """Record an instantaneous event (a zero-duration ok span).
 
-        The returned handle may be a pooled instance whose previous
-        span has exited; the record it points at is always fresh.
+        The tracer keeps ``attrs`` itself, not a copy.
         """
         if layer not in _LAYER_SET:
             raise ValueError(
                 f"unknown trace layer {layer!r}; expected one of {LAYERS}"
             )
-        clock = self._clock
-        if clock is not None:
-            start = float(clock())
-        else:
-            self._tick += 1
-            start = float(self._tick)
-        record = [self._next_id, name, layer, start, attrs, None, ""]
+        at = float(self._clock())
+        self._records.append(
+            (self._next_id, name, layer, at, at, OUTCOME_OK, attrs)
+        )
+        self._next_id += 1
+
+    def open_span(
+        self, name: str, layer: str, attrs: Dict[str, Any]
+    ) -> Span:
+        """Open a span; use as a context manager around the operation.
+
+        The tracer keeps ``attrs`` itself, not a copy.
+        """
+        if layer not in _LAYER_SET:
+            raise ValueError(
+                f"unknown trace layer {layer!r}; expected one of {LAYERS}"
+            )
+        record = [
+            self._next_id, name, layer, float(self._clock()),
+            None, "", attrs,
+        ]
         self._next_id += 1
         self._records.append(record)
-        pool = self._span_pool
-        if pool:
-            return pool.pop()._reuse(record)
         return Span(self, record)
 
     def event(self, name: str, layer: str, **attrs: Any) -> None:
-        """Record an instantaneous event (a zero-duration ok span)."""
-        if layer not in _LAYER_SET:
-            raise ValueError(
-                f"unknown trace layer {layer!r}; expected one of {LAYERS}"
-            )
-        clock = self._clock
-        if clock is not None:
-            start = float(clock())
-        else:
-            self._tick += 1
-            start = float(self._tick)
-        self._records.append((self._next_id, name, layer, start, attrs))
-        self._next_id += 1
+        """:meth:`emit` with the attributes spelled as keywords."""
+        self.emit(name, layer, attrs)
 
-    # -- lazy materialisation ------------------------------------------------
-
-    def _solidify(self) -> None:
-        """Materialise closed raw records into :class:`SpanRecord`.
-
-        Events (5-tuples) become zero-duration ok spans; closed span
-        lists become finished records.  Both replace the raw container
-        in place, so repeated queries return the *same* objects.  A
-        still-open span list is left untouched -- its live handle must
-        keep writing end/outcome into it -- and is materialised by a
-        later query once closed.
-        """
-        records = self._records
-        for i, rec in enumerate(records):
-            cls = rec.__class__
-            if cls is SpanRecord:
-                continue
-            if cls is tuple:
-                span_id, name, layer, start, attrs = rec
-                solid = SpanRecord(span_id, name, layer, start, attrs)
-                solid.end = start
-                solid.outcome = OUTCOME_OK
-                records[i] = solid
-            elif rec[5] is not None:
-                solid = SpanRecord(rec[0], rec[1], rec[2], rec[3], rec[4])
-                solid.end = rec[5]
-                solid.outcome = rec[6]
-                records[i] = solid
-
-    def _materialized(self) -> List[SpanRecord]:
-        """Every record as a :class:`SpanRecord`, in creation order.
-
-        Still-open spans are returned as transient views (end ``None``,
-        empty outcome), matching how open records always looked to
-        queries.
-        """
-        self._solidify()
-        out: List[SpanRecord] = []
-        append = out.append
-        for rec in self._records:
-            if rec.__class__ is SpanRecord:
-                append(rec)
-            else:  # still-open span list
-                append(SpanRecord(rec[0], rec[1], rec[2], rec[3], rec[4]))
-        return out
+    def span(self, name: str, layer: str, **attrs: Any) -> Span:
+        """:meth:`open_span` with the attributes spelled as keywords."""
+        return self.open_span(name, layer, attrs)
 
     # -- in-process queries --------------------------------------------------
 
@@ -367,36 +335,33 @@ class Tracer:
 
         ``name`` matches exactly or as a ``"prefix."`` when it ends with
         a dot; ``outcome="ok"`` selects successes, ``outcome="error"``
-        any failure.
+        any failure.  A still-open span has ``end`` None and an empty
+        outcome.
         """
         out = []
-        for record in self._materialized():
-            if layer is not None and record.layer != layer:
+        for raw in self._records:
+            if layer is not None and raw[_LAYER] != layer:
                 continue
             if name is not None:
                 if name.endswith("."):
-                    if not record.name.startswith(name):
+                    if not raw[_NAME].startswith(name):
                         continue
-                elif record.name != name:
+                elif raw[_NAME] != name:
                     continue
             if outcome is not None:
                 if outcome == "error":
-                    if not record.outcome.startswith("error:"):
+                    if not raw[_OUTCOME].startswith("error:"):
                         continue
-                elif record.outcome != outcome:
+                elif raw[_OUTCOME] != outcome:
                     continue
-            out.append(record)
+            out.append(SpanRecord(*raw))
         return out
 
     def layers(self) -> Dict[str, int]:
         """Span counts per layer (a quick shape check of a trace)."""
         counts: Dict[str, int] = {}
-        for record in self._records:
-            layer = (
-                record.layer if record.__class__ is SpanRecord
-                else record[2]
-            )
-            counts[layer] = counts.get(layer, 0) + 1
+        for raw in self._records:
+            counts[raw[_LAYER]] = counts.get(raw[_LAYER], 0) + 1
         return counts
 
     def __len__(self) -> int:
@@ -410,12 +375,12 @@ class Tracer:
 
     def export(self, stream: IO[str]) -> int:
         """Write every record as one JSON line; returns the line count."""
-        count = 0
-        for record in self._materialized():
-            json.dump(record.to_dict(), stream, sort_keys=True)
-            stream.write("\n")
-            count += 1
-        return count
+        for raw in self._records:
+            # ``dumps`` runs the C encoder; ``json.dump`` into a stream
+            # always takes the pure-Python ``iterencode`` path.
+            line = json.dumps(SpanRecord(*raw).to_dict(), sort_keys=True)
+            stream.write(line + "\n")
+        return len(self._records)
 
     def dump(self, path: str) -> int:
         """Export to ``path``; returns the number of lines written."""

@@ -151,9 +151,8 @@ def observe_cluster(
     traffic meter and the protocol's fault counters as sources.
     """
     if tracer is None:
-        tracer = Tracer(clock=cluster.sim.now_reader())
-    elif tracer.enabled:
-        tracer.set_clock(cluster.sim.now_reader())
+        tracer = Tracer()
+    tracer.set_clock(cluster.sim.now_reader())
     if registry is None:
         registry = MetricsRegistry()
     cluster.network.set_tracer(tracer)

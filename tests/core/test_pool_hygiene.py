@@ -1,13 +1,12 @@
 """Pool hygiene under exceptions (the protocol fast path's freelists).
 
 The steady-state loops borrow a :class:`~repro.core.round.QuorumRound`
-per operation, the tracer hands out pooled ``Span`` objects, and the
-interceptor path borrows pooled ``Message`` instances.  Every borrow
-must be matched by a release *even when the operation raises* -- a
-``finally`` dropped during a refactor would leak one pooled object per
-failing operation and quietly re-grow the allocation rate the fast
-path removed.  These tests drive 1,000 failing operations through each
-pool and assert the freelists neither grow nor shrink.
+per operation.  Every borrow must be matched by a release *even when
+the operation raises* -- a ``finally`` dropped during a refactor would
+leak one pooled object per failing operation and quietly re-grow the
+allocation rate the fast path removed.  These tests drive 1,000 failing
+operations through the pool and assert the freelist neither grows nor
+shrinks.
 """
 
 import pytest
@@ -21,7 +20,6 @@ from repro.errors import (
     SiteDownError,
 )
 from repro.net import Network
-from repro.obs.trace import Tracer
 from repro.types import SiteState
 
 BLOCK_SIZE = 16
@@ -29,16 +27,13 @@ NUM_BLOCKS = 8
 FAILING_OPS = 1_000
 
 
-def make_voting(n=5, tracer=None):
+def make_voting(n=5):
     spec = QuorumSpec.majority(n)
     sites = [
         Site(i, NUM_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
         for i in range(n)
     ]
-    network = Network()
-    if tracer is not None:
-        network.set_tracer(tracer)
-    return VotingProtocol(sites, network, spec=spec)
+    return VotingProtocol(sites, Network(), spec=spec)
 
 
 class TestRoundPool:
@@ -104,51 +99,3 @@ class TestRoundPool:
             with pytest.raises(SiteDownError):
                 protocol.write(0, 1, b"\x02" * BLOCK_SIZE)
         assert len(protocol._round_pool) == baseline
-
-
-class TestSpanPool:
-    def test_failing_traced_ops_return_spans_to_pool(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        protocol = make_voting(tracer=tracer)
-        protocol.write(0, 1, b"\x01" * BLOCK_SIZE)
-        for down in (2, 3, 4):
-            protocol.site(down).set_state(SiteState.FAILED)
-        with pytest.raises(QuorumNotReachedError):
-            protocol.read(0, 1)  # warm the span freelist
-        baseline = len(tracer._span_pool)
-        assert baseline >= 1
-        for _ in range(FAILING_OPS):
-            with pytest.raises(QuorumNotReachedError):
-                protocol.read(0, 1)
-            with pytest.raises(QuorumNotReachedError):
-                protocol.write(0, 1, b"\x02" * BLOCK_SIZE)
-        assert len(tracer._span_pool) == baseline
-        # Every failing span still recorded an outcome.
-        failed = [s for s in tracer.spans(layer="protocol") if not s.ok]
-        assert len(failed) >= 2 * FAILING_OPS
-
-
-class TestMessagePool:
-    def test_failing_intercepted_ops_return_messages_to_pool(self):
-        class DropEverything:
-            """Interceptor that forces Message borrowing, drops all."""
-
-            def allow_delivery(self, message, dst):
-                return False
-
-            def after_delivery(self, message, dst):  # pragma: no cover
-                pass
-
-        protocol = make_voting()
-        protocol.write(0, 1, b"\x01" * BLOCK_SIZE)
-        protocol.network.set_interceptor(DropEverything())
-        with pytest.raises(QuorumNotReachedError):
-            protocol.read(0, 1)  # warm the message freelist
-        baseline = len(protocol.network._message_pool)
-        assert baseline >= 1
-        for _ in range(FAILING_OPS):
-            with pytest.raises(QuorumNotReachedError):
-                protocol.read(0, 1)
-            with pytest.raises(QuorumNotReachedError):
-                protocol.write(0, 1, b"\x02" * BLOCK_SIZE)
-        assert len(protocol.network._message_pool) == baseline

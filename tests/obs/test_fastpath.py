@@ -1,8 +1,8 @@
 """Observability on the kernel fast path.
 
 The kernel rewrite caches observability lookups on the hot paths: the
-network resolves the tracer's ``event`` method once per ``set_tracer``
-call (``Network._trace_event``), and the workload runner caches the
+network resolves the tracer's ``emit`` method once per ``set_tracer``
+call, and the workload runner caches the
 registry's counter/histogram bound methods per ``(kind, outcome)``
 (``WorkloadRunner._instruments``).  These tests pin the contract that
 the caches are invisible:
@@ -95,18 +95,34 @@ class TestTracerInterchangeability:
         assert plain_cluster.network.tracer.spans() == []
 
     def test_null_tracer_leaves_event_hook_unset(self):
+        """Default, explicit null and removed tracers all meter without
+        recording."""
         net = _small_net()
-        assert net._trace_event is None  # default NullTracer
+
+        def query():
+            net.unicast_query(
+                0, 1, REQ, REP, handler=lambda n, p: n.handle(p)
+            )
+            assert not net.tracer.enabled
+            assert len(net.tracer) == 0
+
+        query()  # default NullTracer
         net.set_tracer(NullTracer())
-        assert net._trace_event is None
+        query()
         net.set_tracer(None)  # "remove the tracer"
-        assert net._trace_event is None
+        query()
+        assert net.meter.category_count(REQ) == 3
 
     def test_enabled_tracer_installs_bound_event_hook(self):
+        """An installed tracer receives the very next transmission."""
         net = _small_net()
         tracer = Tracer()
         net.set_tracer(tracer)
-        assert net._trace_event == tracer.event
+        assert net.tracer is tracer
+        net.unicast_query(0, 1, REQ, REP, handler=lambda n, p: n.handle(p))
+        assert [r.name for r in tracer.spans()] == [
+            "net.request", "net.reply",
+        ]
 
     def test_swapping_tracers_rebinds_the_hook(self):
         """Events after a swap land in the new tracer only."""

@@ -5,13 +5,20 @@ import json
 
 import pytest
 
+from repro.core import QuorumSpec, VotingProtocol
+from repro.device import Site
+from repro.errors import QuorumNotReachedError
+from repro.net import Network
 from repro.obs import (
     NULL_TRACER,
     TRACE_SCHEMA_VERSION,
+    NullTracer,
     Tracer,
     load_trace,
+    traced_workload,
     validate_trace_record,
 )
+from repro.types import SiteState
 
 
 class TestSpans:
@@ -48,6 +55,28 @@ class TestSpans:
         (record,) = tracer.spans()
         assert record.start == record.end == 7.0
         assert record.ok
+
+    def test_failing_traced_ops_still_record_an_outcome(self):
+        """Every span of an operation that raises is closed as an error."""
+        spec = QuorumSpec.majority(5)
+        network = Network(tracer=Tracer(clock=lambda: 0.0))
+        protocol = VotingProtocol(
+            [Site(i, 8, 16, weight=spec.weight_of(i)) for i in range(5)],
+            network, spec=spec,
+        )
+        protocol.write(0, 1, b"\x01" * 16)
+        for down in (2, 3, 4):
+            protocol.site(down).set_state(SiteState.FAILED)
+        for _ in range(100):
+            with pytest.raises(QuorumNotReachedError):
+                protocol.read(0, 1)
+            with pytest.raises(QuorumNotReachedError):
+                protocol.write(0, 1, b"\x02" * 16)
+        spans = network.tracer.spans(layer="protocol")
+        assert [s.outcome for s in spans] == (
+            ["ok"] + ["error:QuorumNotReachedError"] * 200
+        )
+        assert all(s.end is not None for s in spans)
 
     def test_unknown_layer_rejected(self):
         tracer = Tracer()
@@ -122,6 +151,17 @@ class TestExport:
             (line,) = handle.read().splitlines()
         assert json.loads(line)["layer"] == "scrub"
 
+    def test_export_matches_json_dump_reference(self):
+        """``export`` is byte-for-byte the per-record ``json.dump``."""
+        tracer = traced_workload(horizon=300.0, seed=5).obs.tracer
+        reference = io.StringIO()
+        for record in tracer.spans():
+            json.dump(record.to_dict(), reference, sort_keys=True)
+            reference.write("\n")
+        buf = io.StringIO()
+        assert tracer.export(buf) == len(tracer) > 0
+        assert buf.getvalue() == reference.getvalue()
+
     @pytest.mark.parametrize("mutation, problem", [
         ({"v": 99}, "version"),
         ({"layer": "bogus"}, "layer"),
@@ -165,19 +205,21 @@ class TestNullTracer:
         a = NULL_TRACER.span("a", layer="x")
         b = NULL_TRACER.span("b", layer="y")
         assert a is b
+        assert NULL_TRACER.open_span("c", "z", {}) is a
+
+    def test_public_interface_equals_the_real_tracer(self):
+        """Instrumented code may call anything public on either."""
+        def public(cls):
+            return {name for name in dir(cls) if not name.startswith("_")}
+
+        assert public(NullTracer) == public(Tracer)
+        assert len(NULL_TRACER) == 0
+        assert NULL_TRACER.layers() == {}
+        NULL_TRACER.set_clock(lambda: 1.0)
+        assert NULL_TRACER.now() == 0.0
 
 
 class TestSpanPooling:
-    def test_exited_handle_is_reused(self):
-        tracer = Tracer()
-        with tracer.span("first", layer="device") as first:
-            pass
-        with tracer.span("second", layer="device") as second:
-            assert second is first  # pooled handle, fresh record
-        records = tracer.spans()
-        assert [r.name for r in records] == ["first", "second"]
-        assert all(r.ok for r in records)
-
     def test_nested_spans_use_distinct_handles(self):
         tracer = Tracer()
         with tracer.span("outer", layer="device") as outer:
