@@ -19,6 +19,8 @@ from .inode import Inode
 __all__ = ["DirEntry", "Directory"]
 
 _HEADER = struct.Struct("<IB")
+#: Where, inside a slot, the name-length byte and the name itself sit.
+_LENGTH_AT, _NAME_AT = _HEADER.size - 1, _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,19 @@ class Directory:
 
     def lookup(self, name: str) -> DirEntry:
         """Find ``name`` or raise :class:`FileNotFoundFSError`."""
-        for _slot, entry in self._slots():
-            if entry is not None and entry.name == name:
-                return entry
+        # Path resolution runs this for every component of every call,
+        # so it compares raw slots and parses only the one that matches.
+        encoded = name.encode("utf-8")
+        length = len(encoded)
+        data = self._fs._read_file_data(self._inode, 0, self._inode.size)
+        if length:  # a zero name length marks a free slot
+            for slot in range(0, len(data) - DIRENT_SIZE + 1, DIRENT_SIZE):
+                at = slot + _NAME_AT
+                if (
+                    data[slot + _LENGTH_AT] == length
+                    and data[at : at + length] == encoded
+                ):
+                    return DirEntry(name, _HEADER.unpack_from(data, slot)[0])
         raise FileNotFoundFSError(f"no entry {name!r}")
 
     def contains(self, name: str) -> bool:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..device.interface import BlockDevice
 from ..errors import (
+    DeviceError,
     DirectoryNotEmptyFSError,
     FileExistsFSError,
     FileNotFoundFSError,
@@ -67,6 +68,7 @@ class FileSystem:
         self._bitmap = BlockBitmap(device, superblock)
         self._bitmap.load()
         self._inodes = InodeTable(device, superblock)
+        self._table = struct.Struct(f"<{self._pointers_per_block}I")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -90,8 +92,7 @@ class FileSystem:
         for i in range(sb.bitmap_start, sb.data_start):
             device.write_block(i, zero)
         fs = cls(device, sb)
-        for i in range(sb.data_start):
-            fs._bitmap.mark_allocated(i)
+        fs._bitmap.mark_allocated(0, sb.data_start)
         # The root directory.
         root = fs._inodes.read(ROOT_INODE)
         root.file_type = FileType.DIRECTORY
@@ -127,161 +128,184 @@ class FileSystem:
         """Largest file the inode geometry can map."""
         return (NUM_DIRECT + self._pointers_per_block) * self._sb.block_size
 
-    def _bmap(
-        self, inode: Inode, file_block: int, allocate: bool
-    ) -> Optional[int]:
-        """Map a file-relative block index to a device block.
+    def _read_table(self, inode: Inode) -> List[int]:
+        """The pointers in ``inode``'s indirect block -- all
+        ``NO_BLOCK`` when it has none."""
+        if inode.indirect == NO_BLOCK:
+            return [NO_BLOCK] * self._pointers_per_block
+        return list(
+            self._table.unpack(self._device.read_block(inode.indirect))
+        )
 
-        With ``allocate`` set, missing blocks (and the indirect block)
-        are allocated and zeroed; otherwise unmapped blocks return
-        ``None`` (they read as zeros -- sparse files work).
+    def _map_range(
+        self, inode: Inode, first: int, count: int, allocate: bool = False
+    ) -> Tuple[List[int], List[int], Optional[List[int]]]:
+        """Map file blocks ``[first, first + count)`` to device blocks
+        in one pass: one read of the indirect table, and with
+        ``allocate`` one bitmap allocation for every block the run
+        lacks (the indirect block included).
+
+        Returns ``(blocks, fresh, table)``.  ``blocks[i]`` backs file
+        block ``first + i``; without ``allocate`` a hole is ``NO_BLOCK``
+        (it reads as zeros -- sparse files work).  ``fresh`` are the
+        blocks this call allocated: flushed to the bitmap, holding
+        whatever they held before, and referenced only in memory --
+        ``inode`` is updated, and ``table`` is the indirect block's new
+        pointer list when that changed (else ``None``).  Writing data,
+        table and inode, in that order, is the caller's job.
         """
-        if file_block < NUM_DIRECT:
-            block = inode.direct[file_block]
-            if block == NO_BLOCK:
-                if not allocate:
-                    return None
-                block = self._bitmap.allocate()
-                self._device.write_block(block, bytes(self._sb.block_size))
-                inode.direct[file_block] = block
-                self._inodes.write(inode)
-            return block
-        index = file_block - NUM_DIRECT
-        if index >= self._pointers_per_block:
+        stop = first + count
+        if stop > NUM_DIRECT + self._pointers_per_block:
             raise FileTooLargeFSError(
-                f"file block {file_block} beyond maximum "
+                f"file block {stop - 1} beyond maximum "
                 f"({self.max_file_size()} bytes)"
             )
-        if inode.indirect == NO_BLOCK:
-            if not allocate:
-                return None
-            indirect = self._bitmap.allocate()
-            self._device.write_block(indirect, bytes(self._sb.block_size))
-            inode.indirect = indirect
-            self._inodes.write(inode)
-        table = bytearray(self._device.read_block(inode.indirect))
-        (block,) = _POINTER.unpack_from(table, index * _POINTER.size)
-        if block == NO_BLOCK:
-            if not allocate:
-                return None
-            block = self._bitmap.allocate()
-            self._device.write_block(block, bytes(self._sb.block_size))
-            _POINTER.pack_into(table, index * _POINTER.size, block)
-            self._device.write_block(inode.indirect, bytes(table))
-        return block
+        pointers = list(inode.direct)
+        if stop > NUM_DIRECT:
+            pointers += self._read_table(inode)
+        blocks = pointers[first:stop]
+        if not allocate or NO_BLOCK not in blocks:
+            return blocks, [], None
+        # Lowest block first in file order, the indirect block just
+        # before the first block it maps: the layout block-at-a-time
+        # allocation produces.
+        holes = [
+            file_block
+            for file_block in range(first, stop)
+            if pointers[file_block] == NO_BLOCK
+        ]
+        new_table = stop > NUM_DIRECT and inode.indirect == NO_BLOCK
+        fresh = self._bitmap.allocate(len(holes) + new_table)
+        supply = iter(fresh)
+        for file_block in holes:
+            if file_block >= NUM_DIRECT and inode.indirect == NO_BLOCK:
+                inode.indirect = next(supply)
+            pointers[file_block] = next(supply)
+        inode.direct = pointers[:NUM_DIRECT]
+        table = pointers[NUM_DIRECT:] if holes[-1] >= NUM_DIRECT else None
+        return pointers[first:stop], fresh, table
 
     # -- file data ---------------------------------------------------------------
-
-    @staticmethod
-    def _spans(offset: int, size: int, bs: int) -> List[tuple]:
-        """Split a byte range into per-block ``(file_block, within,
-        chunk)`` spans.  Each file block appears at most once -- the
-        spans tile the range -- which is what lets the data paths turn
-        a multi-block transfer into one batched device call."""
-        spans: List[tuple] = []
-        position = offset
-        remaining = size
-        while remaining > 0:
-            within = position % bs
-            chunk = min(remaining, bs - within)
-            spans.append((position // bs, within, chunk))
-            position += chunk
-            remaining -= chunk
-        return spans
 
     def _read_file_data(self, inode: Inode, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``, clipped to the file size.
 
-        Multi-block reads go through the device's batched
-        :meth:`~repro.device.interface.BlockDevice.read_blocks` --
-        one call for every mapped block of the transfer instead of one
-        per block, which on a replicated device means one quorum round.
+        Beyond the indirect-table read of :meth:`_map_range`, the whole
+        transfer is one batched
+        :meth:`~repro.device.interface.BlockDevice.read_blocks` call
+        for its mapped blocks -- on a replicated device, one quorum
+        round.
         """
         if offset >= inode.size or size <= 0:
             return b""
         size = min(size, inode.size - offset)
         bs = self._sb.block_size
-        spans = self._spans(offset, size, bs)
-        mapped = {
-            file_block: self._bmap(inode, file_block, allocate=False)
-            for file_block, _within, _chunk in spans
-        }
-        wanted = [b for b in mapped.values() if b is not None]
+        first = offset // bs
+        last = (offset + size - 1) // bs
+        blocks, _fresh, _table = self._map_range(
+            inode, first, last - first + 1
+        )
+        wanted = [block for block in blocks if block != NO_BLOCK]
         contents = self._device.read_blocks(wanted) if wanted else {}
-        pieces: List[bytes] = []
-        for file_block, within, chunk in spans:
-            block = mapped[file_block]
-            if block is None:
-                pieces.append(bytes(chunk))  # sparse hole
-            else:
-                data = contents[block]
-                pieces.append(data[within : within + chunk])
-        return b"".join(pieces)
+        hole = bytes(bs)
+        data = b"".join(
+            hole if block == NO_BLOCK else contents[block] for block in blocks
+        )
+        skip = offset - first * bs
+        return data[skip : skip + size]
 
     def _write_file_data(
         self, inode: Inode, offset: int, data: bytes
     ) -> None:
         """Write ``data`` at ``offset``, growing the file as needed.
 
-        The transfer is vectorized: partially-overwritten blocks are
-        fetched in one batched read, payloads are assembled, and the
-        whole set goes to the device in one batched write (one fan-out
-        on a replicated device).  Per-block contents are identical to
-        the sequential path.
+        Device writes, in this order and each at most once per call:
+        the bitmap blocks covering newly allocated blocks, the data in
+        one batched write, the indirect table if a pointer in it
+        changed, the inode if a pointer in it or the size changed.  So
+        a prefix of the call never leaves a pointer on the device to a
+        block that is free or not yet written; it can only leak blocks.
+        A fresh block is never zero-filled on the device: the batch
+        covers it in full, the uncovered part of an edge block as zeros.
         """
-        if offset + len(data) > self.max_file_size():
+        end = offset + len(data)
+        if end > self.max_file_size():
             raise FileTooLargeFSError(
-                f"write to offset {offset + len(data)} exceeds maximum "
+                f"write to offset {end} exceeds maximum "
                 f"file size {self.max_file_size()}"
             )
-        bs = self._sb.block_size
-        spans = self._spans(offset, len(data), bs)
-        mapped = {
-            file_block: self._bmap(inode, file_block, allocate=True)
-            for file_block, _within, _chunk in spans
-        }
-        partial = [
-            mapped[file_block]
-            for file_block, within, chunk in spans
-            if within != 0 or chunk != bs
-        ]
-        current = self._device.read_blocks(partial) if partial else {}
-        writes = {}
-        cursor = 0
-        for file_block, within, chunk in spans:
-            block = mapped[file_block]
-            if within == 0 and chunk == bs:
-                writes[block] = data[cursor : cursor + bs]
-            else:
-                merged = bytearray(current[block])
-                merged[within : within + chunk] = data[
-                    cursor : cursor + chunk
+        on_device = inode.pack()
+        unreferenced: List[int] = []
+        try:
+            if data:
+                bs = self._sb.block_size
+                first = offset // bs
+                last = (end - 1) // bs
+                had_table = inode.indirect != NO_BLOCK
+                blocks, unreferenced, table = self._map_range(
+                    inode, first, last - first + 1, allocate=True
+                )
+                # Pad the transfer to whole blocks with what surrounds
+                # it: an existing edge block's bytes, zeros in a fresh one.
+                lead = offset - first * bs
+                trail = (last + 1) * bs - end
+                edges = [
+                    block
+                    for block, partial in ((blocks[0], lead), (blocks[-1], trail))
+                    if partial and block not in unreferenced
                 ]
-                writes[block] = bytes(merged)
-            cursor += chunk
-        if writes:
-            self._device.write_blocks(writes)
-        end = offset + len(data)
-        if end > inode.size:
-            inode.size = end
-            self._inodes.write(inode)
+                current = self._device.read_blocks(edges) if edges else {}
+                padded = b"".join((
+                    current.get(blocks[0], bytes(bs))[:lead],
+                    data,
+                    current.get(blocks[-1], bytes(bs))[bs - trail :],
+                ))
+                self._device.write_blocks({
+                    block: padded[i * bs : (i + 1) * bs]
+                    for i, block in enumerate(blocks)
+                })
+                if table is not None:
+                    self._device.write_block(
+                        inode.indirect, self._table.pack(*table)
+                    )
+                    if had_table:
+                        # the device's inode reaches this table already
+                        unreferenced = [
+                            block
+                            for block in unreferenced
+                            if block in inode.direct
+                        ]
+            inode.size = max(inode.size, end)
+            if inode.pack() != on_device:
+                self._inodes.write(inode)
+        except DeviceError:
+            self._release(unreferenced)
+            raise
+
+    def _release(self, blocks: List[int]) -> None:
+        """Hand back blocks a failed call allocated and nothing on the
+        device references.  Best effort: if the device refuses this
+        too, they stay allocated and fsck reports the leak."""
+        try:
+            self._bitmap.free(*blocks)
+        except DeviceError:
+            pass
 
     def _truncate(self, inode: Inode) -> None:
-        """Free every data block of ``inode`` and zero its size."""
-        for i, block in enumerate(inode.direct):
-            if block != NO_BLOCK:
-                self._bitmap.free(block)
-                inode.direct[i] = NO_BLOCK
+        """Free every data block of ``inode`` and zero its size.
+
+        The cleared inode is written first and the bitmap second, so a
+        prefix leaks blocks but never leaves a pointer to a free one.
+        """
+        blocks = [block for block in inode.direct if block != NO_BLOCK]
         if inode.indirect != NO_BLOCK:
-            table = self._device.read_block(inode.indirect)
-            for index in range(self._pointers_per_block):
-                (block,) = _POINTER.unpack_from(table, index * _POINTER.size)
-                if block != NO_BLOCK:
-                    self._bitmap.free(block)
-            self._bitmap.free(inode.indirect)
-            inode.indirect = NO_BLOCK
+            blocks += [b for b in self._read_table(inode) if b != NO_BLOCK]
+            blocks.append(inode.indirect)
+        inode.direct = [NO_BLOCK] * NUM_DIRECT
+        inode.indirect = NO_BLOCK
         inode.size = 0
         self._inodes.write(inode)
+        self._bitmap.free(*blocks)
 
     # -- path resolution -------------------------------------------------------------
 
@@ -325,15 +349,8 @@ class FileSystem:
     def stat(self, path: str) -> FileStat:
         """Metadata for ``path``."""
         inode = self._resolve(path)
-        blocks = sum(1 for b in inode.direct if b != NO_BLOCK)
-        if inode.indirect != NO_BLOCK:
-            table = self._device.read_block(inode.indirect)
-            blocks += 1 + sum(
-                1
-                for index in range(self._pointers_per_block)
-                if _POINTER.unpack_from(table, index * _POINTER.size)[0]
-                != NO_BLOCK
-            )
+        pointers = inode.direct + [inode.indirect] + self._read_table(inode)
+        blocks = sum(1 for block in pointers if block != NO_BLOCK)
         return FileStat(
             inode=inode.number,
             file_type=inode.file_type,

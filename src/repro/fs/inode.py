@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List, Tuple
 
 from ..device.interface import BlockDevice
 from ..errors import FSFormatError, NoSpaceFSError
@@ -28,6 +28,7 @@ NO_BLOCK = 0
 
 _INODE = struct.Struct("<HHIQ" + "I" * NUM_DIRECT + "I")
 assert _INODE.size <= INODE_SIZE
+_MODE = struct.Struct("<H")
 
 
 class FileType(enum.IntEnum):
@@ -85,6 +86,11 @@ class Inode:
         )
 
 
+def _is_free(data: bytes, offset: int) -> bool:
+    """Whether the inode record at ``offset`` of a table block is free."""
+    return _MODE.unpack_from(data, offset)[0] == FileType.FREE
+
+
 class InodeTable:
     """Reads, writes, allocates and frees inodes on the device."""
 
@@ -115,17 +121,24 @@ class InodeTable:
         data[offset : offset + INODE_SIZE] = inode.pack()
         self._device.write_block(block, bytes(data))
 
+    def _records(self) -> Iterator[Tuple[int, int, bytearray, int]]:
+        """``(number, table block, its contents, offset of the record)``
+        for every inode in number order; each table block is read once."""
+        loaded, data = None, bytearray()
+        for number in range(self._sb.num_inodes):
+            block, offset = self._locate(number)
+            if block != loaded:
+                loaded = block
+                data = bytearray(self._device.read_block(block))
+            yield number, block, data, offset
+
     def allocate(self, file_type: FileType) -> Inode:
         """Claim the lowest-numbered free inode."""
-        for number in range(self._sb.num_inodes):
-            inode = self.read(number)
-            if inode.is_free:
-                inode.file_type = file_type
-                inode.links = 1
-                inode.size = 0
-                inode.direct = [NO_BLOCK] * NUM_DIRECT
-                inode.indirect = NO_BLOCK
-                self.write(inode)
+        for number, block, data, offset in self._records():
+            if _is_free(data, offset):
+                inode = Inode(number=number, file_type=file_type, links=1)
+                data[offset : offset + INODE_SIZE] = inode.pack()
+                self._device.write_block(block, bytes(data))
                 return inode
         raise NoSpaceFSError("no free inodes")
 
@@ -142,6 +155,6 @@ class InodeTable:
         """Number of allocated inodes."""
         return sum(
             1
-            for number in range(self._sb.num_inodes)
-            if not self.read(number).is_free
+            for _number, _block, data, offset in self._records()
+            if not _is_free(data, offset)
         )

@@ -19,28 +19,28 @@ def make_bitmap(num_blocks=64, block_size=512):
 
 def test_allocation_starts_at_data_start():
     bitmap, sb, _ = make_bitmap()
-    assert bitmap.allocate() == sb.data_start
-    assert bitmap.allocate() == sb.data_start + 1
+    assert bitmap.allocate(1) == [sb.data_start]
+    assert bitmap.allocate(1) == [sb.data_start + 1]
 
 
 def test_free_then_reallocate_lowest_first():
     bitmap, sb, _ = make_bitmap()
-    blocks = [bitmap.allocate() for _ in range(3)]
+    blocks = [bitmap.allocate(1)[0] for _ in range(3)]
     bitmap.free(blocks[0])
-    assert bitmap.allocate() == blocks[0]
+    assert bitmap.allocate(1) == [blocks[0]]
 
 
 def test_exhaustion_raises():
     bitmap, sb, _ = make_bitmap(num_blocks=16)
     for _ in range(sb.data_blocks):
-        bitmap.allocate()
+        bitmap.allocate(1)
     with pytest.raises(NoSpaceFSError):
-        bitmap.allocate()
+        bitmap.allocate(1)
 
 
 def test_double_free_rejected():
     bitmap, _sb, _ = make_bitmap()
-    block = bitmap.allocate()
+    (block,) = bitmap.allocate(1)
     bitmap.free(block)
     with pytest.raises(FSFormatError):
         bitmap.free(block)
@@ -56,13 +56,13 @@ def test_free_count():
     bitmap, sb, _ = make_bitmap()
     total = sb.data_blocks
     assert bitmap.free_count() == total
-    bitmap.allocate()
+    bitmap.allocate(1)
     assert bitmap.free_count() == total - 1
 
 
 def test_state_persists_through_reload():
     bitmap, sb, device = make_bitmap()
-    allocated = bitmap.allocate()
+    (allocated,) = bitmap.allocate(1)
     fresh = BlockBitmap(device, sb)
     fresh.load()
     assert fresh.is_allocated(allocated)

@@ -73,7 +73,7 @@ def test_detects_orphan_inode(fs):
 
 
 def test_detects_leaked_block_as_warning(fs):
-    fs._bitmap.allocate()  # claimed but never attached to an inode
+    fs._bitmap.allocate(1)  # claimed but never attached to an inode
     report = check_filesystem(fs)
     assert report.ok  # leak is a warning, not corruption
     assert any("referenced by no inode" in w for w in report.warnings)

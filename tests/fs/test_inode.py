@@ -87,3 +87,18 @@ def test_type_predicates():
     assert Inode(0, FileType.REGULAR).is_regular
     assert Inode(0, FileType.DIRECTORY).is_directory
     assert Inode(0, FileType.FREE).is_free
+
+
+def test_scans_read_each_table_block_once():
+    # 20 inodes at 8 to a block: the third table block is part padding
+    table, sb = make_table(num_inodes=20)
+    stats = table._device.stats
+    for _ in range(sb.num_inodes):
+        before = stats.reads
+        inode = table.allocate(FileType.REGULAR)
+        assert stats.reads - before == inode.number // 8 + 1
+    before = stats.reads
+    assert table.used_count() == sb.num_inodes
+    assert stats.reads - before == sb.inode_blocks == 3
+    with pytest.raises(NoSpaceFSError):
+        table.allocate(FileType.REGULAR)
