@@ -38,7 +38,7 @@ from ..errors import (
     StaleEpochError,
 )
 from ..net.network import Network
-from ..obs.trace import _NULL_SPAN
+from ..obs.trace import _NULL_SPAN, UNSET
 from ..net.traffic import TrafficMeter
 from ..sim.failures import FailureRepairProcess
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
@@ -48,6 +48,12 @@ __all__ = ["ReplicationProtocol", "Update", "updates_of"]
 
 #: One block of a write fan-out: ``(block, contents, version)``.
 Update = Tuple[BlockIndex, bytes, int]
+
+#: Attribute names of a ``protocol.<op>`` span, single-block and batched
+#: (one tuple per shape, shared by every span: see ``Tracer.open_span``).
+#: ``local`` is written only for a read served without a round.
+_PROTOCOL_BLOCK_KEYS = ("scheme", "origin", "block", "local")
+_PROTOCOL_BATCH_KEYS = ("scheme", "origin", "batch", "local")
 
 
 def updates_of(payload: Any) -> Sequence[Update]:
@@ -193,14 +199,14 @@ class ReplicationProtocol(abc.ABC):
         tracer = self._network._tracer
         if not tracer.enabled:
             return _NULL_SPAN
-        attrs = {"scheme": self._scheme_value, "origin": origin}
-        if block is not None:
-            attrs["block"] = block
-        if batch is not None:
-            attrs["batch"] = batch
-        if local:
-            attrs["local"] = True
-        return tracer.open_span(f"protocol.{op}", "protocol", attrs)
+        if batch is None:
+            keys, value = _PROTOCOL_BLOCK_KEYS, block
+        else:
+            keys, value = _PROTOCOL_BATCH_KEYS, batch
+        return tracer.open_span(
+            f"protocol.{op}", "protocol", keys,
+            self._scheme_value, origin, value, True if local else UNSET,
+        )
 
     # -- pooled round state ---------------------------------------------------
 

@@ -45,11 +45,18 @@ from ..errors import (
     ReadOnlyDeviceError,
     SiteDownError,
 )
+from ..obs.trace import UNSET
 from ..sim.engine import Simulator
 from ..types import BlockIndex, SiteId, SiteState
 from .interface import BlockDevice
 
 __all__ = ["ReliableDevice", "RetryPolicy", "FaultStats"]
+
+#: Attribute names of a ``device.<op>`` span, single-block (the index)
+#: and batched (the count); one tuple per shape, shared by every span.
+#: ``policy`` is set only on policy-configured runs, ``retries`` on exit.
+_DEVICE_BLOCK_KEYS = ("origin", "block", "policy", "retries")
+_DEVICE_BATCH_KEYS = ("origin", "batch", "policy", "retries")
 
 #: Errors a retry can plausibly outwait: the group being unavailable,
 #: the origin being down (it may repair), or a corrupt copy (a scrub or
@@ -221,23 +228,22 @@ class ReliableDevice(BlockDevice):
         """The span tracer (the group network's; a no-op unless wired)."""
         return self._protocol.tracer
 
-    def _span(self, op: str, key: str, value: int):
+    def _span(self, op: str, keys: Sequence[str], value: int):
         """Open a ``device.<op>`` span; stamps the retries it consumed.
 
-        ``key`` is ``"block"`` (the index) or ``"batch"`` (the count).
+        ``keys`` is :data:`_DEVICE_BLOCK_KEYS` (``value`` the index) or
+        :data:`_DEVICE_BATCH_KEYS` (``value`` the count).
         """
         tracer = self.tracer
         if not tracer.enabled:
             return tracer.span(op, "device")  # the shared no-op handle
-        attrs = {"origin": self._origin, key: value}
         policy = self._protocol.policy
-        if policy is not None:
-            # Tag policy-configured runs so traces from a sweep are
-            # attributable to their (RF, R, W) point without a join.
-            attrs["policy"] = policy.describe()
-        return _DeviceSpan(
-            self, tracer.open_span(f"device.{op}", "device", attrs)
-        )
+        # Tag policy-configured runs so traces from a sweep are
+        # attributable to their (RF, R, W) point without a join.
+        tag = UNSET if policy is None else policy.describe()
+        return _DeviceSpan(self, tracer.open_span(
+            f"device.{op}", "device", keys, self._origin, value, tag, UNSET,
+        ))
 
     @property
     def origin(self) -> SiteId:
@@ -327,7 +333,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.read_rounds += 1
             return self._protocol.read(origin, index)
 
-        with self._span("read", "block", index):
+        with self._span("read", _DEVICE_BLOCK_KEYS, index):
             try:
                 data = self._with_retries(attempt)
             except CorruptBlockError:
@@ -353,7 +359,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.write_rounds += 1
             return self._protocol.write(origin, index, data)
 
-        with self._span("write", "block", index):
+        with self._span("write", _DEVICE_BLOCK_KEYS, index):
             try:
                 version = self._with_retries(attempt)
             except (DeviceUnavailableError, SiteDownError):
@@ -386,7 +392,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.read_rounds += 1
             return self._protocol.read_batch(origin, ordered)
 
-        with self._span("read_batch", "batch", len(ordered)):
+        with self._span("read_batch", _DEVICE_BATCH_KEYS, len(ordered)):
             try:
                 data = self._with_retries(attempt)
             except CorruptBlockError:
@@ -422,7 +428,7 @@ class ReliableDevice(BlockDevice):
             self.fault_stats.write_rounds += 1
             return self._protocol.write_batch(origin, writes)
 
-        with self._span("write_batch", "batch", len(writes)):
+        with self._span("write_batch", _DEVICE_BATCH_KEYS, len(writes)):
             try:
                 versions = self._with_retries(attempt)
             except (DeviceUnavailableError, SiteDownError):

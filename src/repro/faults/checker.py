@@ -92,6 +92,15 @@ class StalenessWitness:
     correctness violation under a sloppy policy -- it is the evidence
     of the staleness the policy admits, and what hinted handoff and
     read repair exist to shrink.
+
+    ``observed_version <= latest_version``, and :attr:`lag` is 0
+    exactly when the two are *tied*: with ``W`` below a majority, two
+    writes whose quorums did not see each other both commit the same
+    version (sibling writes), and a read may return either.  That is
+    the committed-write analogue of the equal-version torn write
+    ``_scan`` leaves admissible -- no global order exists between the
+    two -- so the read of the sibling recorded first is a witness of
+    lag 0, not a violation.
     """
 
     event_index: int
@@ -102,7 +111,7 @@ class StalenessWitness:
 
     @property
     def lag(self) -> int:
-        """How many committed versions behind the read was."""
+        """How many committed versions behind the read was (0: a tie)."""
         return self.latest_version - self.observed_version
 
     def __str__(self) -> str:

@@ -49,6 +49,13 @@ __all__ = ["Network", "NetworkNode", "DeliveryInterceptor", "NO_REPLY"]
 #: is counted and the site is omitted from the reply map.
 NO_REPLY = object()
 
+#: Attribute names of the two trace records the network emits (one tuple
+#: per shape, shared by every record: see :meth:`Tracer.emit`).
+_REQUEST_KEYS = (
+    "category", "src", "destinations", "transmissions", "bytes_each",
+)
+_REPLY_KEYS = ("category", "src", "dst", "bytes_each")
+
 
 class NetworkNode(Protocol):
     """What the network needs to know about a site.
@@ -293,13 +300,10 @@ class Network:
             # ``._value_`` is the member's plain value slot; ``.value``
             # resolves through a Python-level DynamicClassAttribute
             # descriptor on every metered message.
-            emit("net.request", "net", {
-                "category": category._value_,
-                "src": src,
-                "destinations": len(destinations),
-                "transmissions": transmissions,
-                "bytes_each": size,
-            })
+            emit(
+                "net.request", "net", _REQUEST_KEYS, category._value_,
+                src, len(destinations), transmissions, size,
+            )
 
     def _count_reply(
         self,
@@ -313,12 +317,10 @@ class Network:
         self._meter.count_for(category, transmissions=1, bytes_each=size)
         emit = self._emit
         if emit is not None:
-            emit("net.reply", "net", {
-                "category": category._value_,
-                "src": src,
-                "dst": dst,
-                "bytes_each": size,
-            })
+            emit(
+                "net.reply", "net", _REPLY_KEYS, category._value_,
+                src, dst, size,
+            )
 
     # -- communication primitives ---------------------------------------------
 
@@ -449,12 +451,10 @@ class Network:
                     self._count_reply(reply, dst, src, result)
                 else:
                     if emit is not None:
-                        emit("net.reply", "net", {
-                            "category": reply._value_,
-                            "src": dst,
-                            "dst": src,
-                            "bytes_each": fixed,
-                        })
+                        emit(
+                            "net.reply", "net", _REPLY_KEYS,
+                            reply._value_, dst, src, fixed,
+                        )
                     batched += 1
                 i = out.count
                 out_ids[i] = dst

@@ -205,7 +205,8 @@ class TestQuorumPolicies:
         assert result.hints_parked > 0
         assert result.hints_replayed > 0
         for witness in result.staleness_witnesses:
-            assert witness.observed_version < witness.latest_version
+            # ``==`` is a tie between sibling writes (lag 0).
+            assert witness.observed_version <= witness.latest_version
 
     def test_hinted_handoff_reduces_staleness(self):
         on = self._run(QuorumPolicy(5, 1, 1, allow_sloppy=True))

@@ -2,9 +2,10 @@
 
 ``fixtures/export_golden.json`` was recorded on the tree *before* the
 trace store changed layout; whatever the tracer keeps in memory, the
-export of the recipe below -- a traced workload per scheme followed by
-a batching, reconfiguring chaos run for MCV and NAC, all six layers --
-must stay the same bytes.  The per-part entries only name the run that
+export of the recipe below -- a traced workload per scheme, a batching,
+reconfiguring chaos run for MCV and NAC (all six layers), and a batching
+chaos run under an R = 1 policy (policy-tagged device spans, reads and
+batch reads served locally) -- must stay the same bytes.  The per-part entries only name the run that
 drifted; the total is the fence.
 
 Regenerating (only when the trace *schema* is meant to change):
@@ -18,6 +19,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.core.policy import QuorumPolicy
 from repro.faults import ChaosConfig, run_chaos
 from repro.obs import Tracer, traced_workload
 from repro.types import SchemeName
@@ -42,6 +44,15 @@ def _tracers():
             tracer=tracer,
         )
         yield f"chaos-{scheme.value}", tracer
+    tracer = Tracer()
+    run_chaos(
+        ChaosConfig(
+            policy=QuorumPolicy(5, 1, 5), seed=5, operations=600,
+            batch_rate=0.3,
+        ),
+        tracer=tracer,
+    )
+    yield "chaos-local-reads", tracer
 
 
 def _export_fingerprint():

@@ -18,6 +18,7 @@ from repro.obs import (
     traced_workload,
     validate_trace_record,
 )
+from repro.obs.trace import UNSET
 from repro.types import SiteState
 
 
@@ -82,6 +83,24 @@ class TestSpans:
         tracer = Tracer()
         with pytest.raises(ValueError):
             tracer.span("x", layer="nonsense")
+        with pytest.raises(ValueError):
+            tracer.event("x", layer="nonsense")
+        with pytest.raises(ValueError):
+            tracer.open_span("x", "nonsense", ())
+        with pytest.raises(ValueError):
+            tracer.emit("x", "nonsense", ())
+        assert len(tracer) == 0
+
+    def test_values_must_match_the_declared_keys(self):
+        """A short or long record would shift every later one."""
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="1 attribute values"):
+            tracer.emit("x", "net", ("a", "b"), 1)
+        with pytest.raises(ValueError, match="3 attribute values"):
+            tracer.open_span("x", "net", ("a", "b"), 1, 2, 3)
+        assert len(tracer) == 0
+        tracer.emit("x", "net", ("a", "b"), 1, 2)
+        assert tracer.spans()[0].attrs == {"a": 1, "b": 2}
 
     def test_logical_clock_orders_records_without_a_clock(self):
         tracer = Tracer()
@@ -126,6 +145,48 @@ class TestQueries:
         assert len(tracer) == 3
         tracer.clear()
         assert len(tracer) == 0
+
+    def test_ids_keep_increasing_across_clear(self):
+        tracer = self.make()
+        tracer.clear()
+        tracer.event("net.reply", layer="net")
+        tracer.clear()
+        tracer.event("net.reply", layer="net")
+        tracer.event("net.reply", layer="net")
+        assert [r.span_id for r in tracer.spans()] == [4, 5]
+        buf = io.StringIO()
+        tracer.export(buf)
+        assert [r["span"] for r in load_trace(buf.getvalue().splitlines())] \
+            == [4, 5]
+
+    def test_filters_apply_before_attrs_are_built(self):
+        class CountingKeys(tuple):
+            """A keys tuple that counts how often it is walked."""
+
+            walks = 0
+
+            def __iter__(self):
+                CountingKeys.walks += 1
+                return super().__iter__()
+
+        keys = CountingKeys(("src", "dst"))
+        tracer = Tracer()
+        for i in range(5):
+            tracer.emit("net.reply", "net", keys, i, 0)
+        with pytest.raises(RuntimeError):
+            with tracer.open_span("device.read", "device", keys, 9, 9):
+                raise RuntimeError("boom")
+        CountingKeys.walks = 0
+        assert tracer.spans(layer="protocol") == []
+        assert tracer.spans(name="net.request") == []
+        assert tracer.spans(name="protocol.") == []
+        assert tracer.layers() == {"net": 5, "device": 1}
+        assert len(tracer) == 6
+        assert CountingKeys.walks == 0
+        assert len(tracer.spans(outcome="error")) == 1
+        assert CountingKeys.walks == 1
+        assert len(tracer.spans()) == 6
+        assert CountingKeys.walks == 7
 
 
 class TestExport:
@@ -205,7 +266,7 @@ class TestNullTracer:
         a = NULL_TRACER.span("a", layer="x")
         b = NULL_TRACER.span("b", layer="y")
         assert a is b
-        assert NULL_TRACER.open_span("c", "z", {}) is a
+        assert NULL_TRACER.open_span("c", "z", ("k",), 1) is a
 
     def test_public_interface_equals_the_real_tracer(self):
         """Instrumented code may call anything public on either."""
@@ -219,7 +280,7 @@ class TestNullTracer:
         assert NULL_TRACER.now() == 0.0
 
 
-class TestSpanPooling:
+class TestSpanHandles:
     def test_nested_spans_use_distinct_handles(self):
         tracer = Tracer()
         with tracer.span("outer", layer="device") as outer:
@@ -232,7 +293,7 @@ class TestSpanPooling:
         assert inner_rec.attrs == {"depth": 1}
         assert inner_rec.end <= outer_rec.end
 
-    def test_error_outcome_survives_pooling(self):
+    def test_error_outcome_stays_with_its_own_span(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("boom", layer="device"):
@@ -243,7 +304,7 @@ class TestSpanPooling:
         assert boom.outcome == "error:RuntimeError"
         assert fine.ok
 
-    def test_pooled_export_is_valid_json_lines(self):
+    def test_span_export_is_valid_json_lines(self):
         tracer = Tracer()
         for i in range(5):
             with tracer.span("op", layer="device", i=i):
@@ -253,3 +314,88 @@ class TestSpanPooling:
         records = load_trace(buf.getvalue().splitlines())
         assert [r["attrs"]["i"] for r in records] == list(range(5))
         assert [r["span"] for r in records] == list(range(5))
+
+    @pytest.mark.parametrize("attrs, expected", [
+        ({"retries": 2}, {"origin": 0, "retries": 2}),
+        ({"repaired": 3}, {"origin": 0, "repaired": 3}),
+        ({"repaired": 3, "retries": 2, "origin": 4},
+         {"origin": 4, "retries": 2, "repaired": 3}),
+    ], ids=["declared", "undeclared", "both"])
+    def test_set_round_trips_through_spans_and_export(self, attrs, expected):
+        """A declared key is overwritten in place, any other is kept too."""
+        tracer = Tracer()
+        tracer.event("before", layer="net", n=1)
+        with tracer.open_span(
+            "device.read", "device", ("origin", "retries"), 0, UNSET
+        ) as span:
+            assert span.set(**attrs) is span
+            tracer.event("inside", layer="net", n=2)
+        tracer.event("after", layer="net", n=3)
+        before, record, inside, after = tracer.spans()
+        assert record.attrs == expected
+        assert [r.attrs for r in (before, inside, after)] == [
+            {"n": 1}, {"n": 2}, {"n": 3},
+        ]
+        buf = io.StringIO()
+        tracer.export(buf)
+        lines = load_trace(buf.getvalue().splitlines())
+        assert [line["attrs"] for line in lines] == [
+            {"n": 1}, expected, {"n": 2}, {"n": 3},
+        ]
+
+    def test_span_read_while_open(self):
+        """Mid-operation: end == start, ok, unwritten slots absent."""
+        tracer = Tracer(clock=iter([3.0, 8.0]).__next__)
+        span = tracer.open_span(
+            "device.write", "device", ("origin", "policy", "retries"),
+            1, UNSET, UNSET,
+        )
+        (record,) = tracer.spans()
+        assert (record.end, record.outcome) == (None, "")
+        assert record.duration == 0.0
+        assert record.attrs == {"origin": 1}
+        assert tracer.spans(outcome="ok") == []
+        buf = io.StringIO()
+        tracer.export(buf)
+        (line,) = load_trace(buf.getvalue().splitlines())
+        assert (line["start"], line["end"], line["outcome"]) == (
+            3.0, 3.0, "ok",
+        )
+        assert line["attrs"] == {"origin": 1}
+        with span:
+            span.set(retries=0)
+        (record,) = tracer.spans()
+        assert (record.end, record.outcome) == (8.0, "ok")
+        assert record.attrs == {"origin": 1, "retries": 0}
+
+    def test_span_open_across_clear_closes_as_a_noop(self):
+        """Its row is gone; it must not write into a later record's."""
+        tracer = Tracer()
+        tracer.event("dropped", layer="net")
+        stale = tracer.open_span("device.read", "device", ("retries",), UNSET)
+        tracer.clear()
+        tracer.event("kept", layer="net", n=1)
+        with tracer.span("scrub.audit", layer="scrub", n=2) as live:
+            # Same offsets as the cleared span's row and beyond.
+            stale.set(retries=5, repaired=1)
+            with pytest.raises(RuntimeError):
+                with stale:
+                    raise RuntimeError("boom")
+            live.set(checked=7)
+        tracer.event("later", layer="net", n=3)
+        kept, audit, later = tracer.spans()
+        assert [r.span_id for r in (kept, audit, later)] == [2, 3, 4]
+        assert (kept.name, kept.outcome, kept.attrs) == (
+            "kept", "ok", {"n": 1},
+        )
+        assert (audit.name, audit.outcome, audit.attrs) == (
+            "scrub.audit", "ok", {"n": 2, "checked": 7},
+        )
+        assert (later.name, later.outcome, later.attrs) == (
+            "later", "ok", {"n": 3},
+        )
+        # The tick clock: 1 dropped, 2 stale opens, 3 kept, 4 audit
+        # opens, 5 stale closes, 6 audit closes, 7 later.
+        assert [(r.start, r.end) for r in (kept, audit, later)] == [
+            (3.0, 3.0), (4.0, 6.0), (7.0, 7.0),
+        ]
