@@ -50,9 +50,17 @@ class DirEntry:
 class Directory:
     """Entry-level operations over one directory inode.
 
-    The class holds no state beyond references; every call reads or
-    writes through the owning file system so concurrent handles stay
-    coherent.
+    The class holds no state beyond references: every call reads or
+    writes the directory's data on the device.  What a mount remembers
+    between calls is its name cache (see
+    :class:`~repro.fs.filesystem.FileSystem`), and the namespace
+    changes only here, so this is where it is kept coherent: a scan
+    that finds a name enters it, :meth:`add` enters the new name after
+    its device write returned, :meth:`remove` drops the name before it
+    writes -- a refused or in-doubt write leaves the name absent, and
+    the next lookup goes to the device.  Nothing is cached negatively,
+    and :meth:`entries` never consults the cache, so listings and fsck
+    see the device.
     """
 
     def __init__(self, fs, inode: Inode) -> None:
@@ -83,8 +91,8 @@ class Directory:
 
     def lookup(self, name: str) -> DirEntry:
         """Find ``name`` or raise :class:`FileNotFoundFSError`."""
-        # Path resolution runs this for every component of every call,
-        # so it compares raw slots and parses only the one that matches.
+        # Compares raw slots and parses only the one that matches: a
+        # cold path runs this once per component.
         encoded = name.encode("utf-8")
         length = len(encoded)
         data = self._fs._read_file_data(self._inode, 0, self._inode.size)
@@ -95,7 +103,9 @@ class Directory:
                     data[slot + _LENGTH_AT] == length
                     and data[at : at + length] == encoded
                 ):
-                    return DirEntry(name, _HEADER.unpack_from(data, slot)[0])
+                    number = _HEADER.unpack_from(data, slot)[0]
+                    self._fs._names[self._inode.number, name] = number
+                    return DirEntry(name, number)
         raise FileNotFoundFSError(f"no entry {name!r}")
 
     def contains(self, name: str) -> bool:
@@ -120,9 +130,11 @@ class Directory:
         self._fs._write_file_data(
             self._inode, free_slot * DIRENT_SIZE, packed
         )
+        self._fs._names[self._inode.number, name] = inode_number
 
     def remove(self, name: str) -> DirEntry:
         """Delete an entry, returning what it pointed at."""
+        self._fs._names.pop((self._inode.number, name), None)
         for slot, entry in self._slots():
             if entry is not None and entry.name == name:
                 self._fs._write_file_data(

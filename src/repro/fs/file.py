@@ -23,10 +23,12 @@ __all__ = ["File"]
 class File:
     """A positioned handle on one regular file.
 
-    Handles hold no cached data -- every read/write goes through the
-    file system (and hence the device), so multiple handles on the same
-    file observe each other's writes, matching the single-client model
-    of the paper.
+    A handle holds a path and a position, no data and no inode --
+    every read/write goes through the file system, which re-reads the
+    inode and moves the data on the device (what the mount keeps is
+    the path's names).  So handles on one mount observe each other's
+    writes, matching the single-client model of the paper; two mounts
+    of one device never did (each has its own bitmap).
     """
 
     def __init__(self, fs: "FileSystem", path: str) -> None:

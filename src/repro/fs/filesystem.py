@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..device.interface import BlockDevice
 from ..errors import (
@@ -60,7 +60,17 @@ class FileStat:
 
 
 class FileSystem:
-    """A mounted block file system."""
+    """A mounted block file system.
+
+    A mount keeps two things in memory between calls: the free-block
+    bitmap and a name cache, ``(directory inode number, name) -> inode
+    number`` for every directory entry it has looked up or added and
+    not removed since (:mod:`repro.fs.directory` keeps it coherent).
+    Both assume this mount is the device's only writer -- the paper's
+    single-client model, which the buffer cache below assumes too.
+    Inodes, directory listings and file data are read from the device
+    on every call.
+    """
 
     def __init__(self, device: BlockDevice, superblock: SuperBlock) -> None:
         self._device = device
@@ -69,6 +79,7 @@ class FileSystem:
         self._bitmap.load()
         self._inodes = InodeTable(device, superblock)
         self._table = struct.Struct(f"<{self._pointers_per_block}I")
+        self._names: Dict[Tuple[int, str], int] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -249,11 +260,11 @@ class FileSystem:
                 # it: an existing edge block's bytes, zeros in a fresh one.
                 lead = offset - first * bs
                 trail = (last + 1) * bs - end
-                edges = [
+                edges = list(dict.fromkeys(
                     block
                     for block, partial in ((blocks[0], lead), (blocks[-1], trail))
                     if partial and block not in unreferenced
-                ]
+                ))
                 current = self._device.read_blocks(edges) if edges else {}
                 padded = b"".join((
                     current.get(blocks[0], bytes(bs))[:lead],
@@ -291,8 +302,9 @@ class FileSystem:
         except DeviceError:
             pass
 
-    def _truncate(self, inode: Inode) -> None:
-        """Free every data block of ``inode`` and zero its size.
+    def _truncate(self, inode: Inode, free: bool = False) -> None:
+        """Free every data block of ``inode`` and zero its size; with
+        ``free``, release the inode too, in the same write of its record.
 
         The cleared inode is written first and the bitmap second, so a
         prefix leaks blocks but never leaves a pointer to a free one.
@@ -301,37 +313,43 @@ class FileSystem:
         if inode.indirect != NO_BLOCK:
             blocks += [b for b in self._read_table(inode) if b != NO_BLOCK]
             blocks.append(inode.indirect)
-        inode.direct = [NO_BLOCK] * NUM_DIRECT
-        inode.indirect = NO_BLOCK
-        inode.size = 0
-        self._inodes.write(inode)
+        if free:
+            self._inodes.free(inode)
+        else:
+            inode.direct = [NO_BLOCK] * NUM_DIRECT
+            inode.indirect = NO_BLOCK
+            inode.size = 0
+            self._inodes.write(inode)
         self._bitmap.free(*blocks)
 
     # -- path resolution -------------------------------------------------------------
 
+    def _walk(self, components: List[str]) -> List[int]:
+        """The inode numbers from the root down ``components``, root
+        first.  A name in the cache costs one probe; any other is read
+        from its directory on the device (which remembers it if found).
+        """
+        trail = [ROOT_INODE]
+        for name in components:
+            child = self._names.get((trail[-1], name))
+            if child is None:
+                inode = self._inodes.read(trail[-1])
+                if not inode.is_directory:
+                    raise NotADirectoryFSError(
+                        f"component before {name!r} is not a directory"
+                    )
+                child = Directory(self, inode).lookup(name).inode_number
+            trail.append(child)
+        return trail
+
     def _resolve(self, path: str) -> Inode:
         """Walk an absolute path to its inode."""
-        inode = self._inodes.read(ROOT_INODE)
-        for name in split_path(path):
-            if not inode.is_directory:
-                raise NotADirectoryFSError(
-                    f"component before {name!r} is not a directory"
-                )
-            entry = Directory(self, inode).lookup(name)
-            inode = self._inodes.read(entry.inode_number)
-        return inode
+        return self._inodes.read(self._walk(split_path(path))[-1])
 
     def _resolve_parent(self, path: str) -> tuple:
         """Resolve the parent directory of ``path``; returns (dir, name)."""
         parents, name = parent_and_name(path)
-        inode = self._inodes.read(ROOT_INODE)
-        for component in parents:
-            if not inode.is_directory:
-                raise NotADirectoryFSError(
-                    f"component {component!r} is not a directory"
-                )
-            entry = Directory(self, inode).lookup(component)
-            inode = self._inodes.read(entry.inode_number)
+        inode = self._inodes.read(self._walk(parents)[-1])
         if not inode.is_directory:
             raise NotADirectoryFSError(f"parent of {name!r} is not a directory")
         return Directory(self, inode), name
@@ -343,7 +361,7 @@ class FileSystem:
         try:
             self._resolve(path)
             return True
-        except FileNotFoundFSError:
+        except (FileNotFoundFSError, NotADirectoryFSError):
             return False
 
     def stat(self, path: str) -> FileStat:
@@ -389,8 +407,7 @@ class FileSystem:
         if inode.is_directory:
             raise IsADirectoryFSError(f"{path!r} is a directory; use rmdir")
         directory.remove(name)
-        self._truncate(inode)
-        self._inodes.free(inode)
+        self._truncate(inode, free=True)
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
@@ -402,8 +419,7 @@ class FileSystem:
         if not Directory(self, inode).is_empty():
             raise DirectoryNotEmptyFSError(f"{path!r} is not empty")
         directory.remove(name)
-        self._truncate(inode)
-        self._inodes.free(inode)
+        self._truncate(inode, free=True)
 
     # -- file data API ------------------------------------------------------------
 
@@ -456,22 +472,12 @@ class FileSystem:
         old_dir, old_name = self._resolve_parent(old_path)
         entry = old_dir.lookup(old_name)
         moved = self._inodes.read(entry.inode_number)
-        if moved.is_directory:
-            # reject /a -> /a/b/c: resolving the new parent may not pass
-            # through the inode being moved
-            parents, _name = parent_and_name(new_path)
-            probe = self._inodes.read(ROOT_INODE)
-            for component in parents:
-                if probe.number == moved.number:
-                    raise InvalidPathFSError(
-                        f"cannot move {old_path!r} into itself"
-                    )
-                child = Directory(self, probe).lookup(component)
-                probe = self._inodes.read(child.inode_number)
-            if probe.number == moved.number:
-                raise InvalidPathFSError(
-                    f"cannot move {old_path!r} into itself"
-                )
+        # reject /a -> /a/b/c: resolving the new parent may not pass
+        # through the directory being moved
+        if moved.is_directory and moved.number in self._walk(
+            parent_and_name(new_path)[0]
+        ):
+            raise InvalidPathFSError(f"cannot move {old_path!r} into itself")
         new_dir, new_name = self._resolve_parent(new_path)
         if new_dir.contains(new_name):
             raise FileExistsFSError(f"{new_path!r} already exists")

@@ -143,7 +143,8 @@ class InodeTable:
         raise NoSpaceFSError("no free inodes")
 
     def free(self, inode: Inode) -> None:
-        """Release an inode (its blocks must already be freed)."""
+        """Release an inode: one write of its record, cleared.  The
+        caller frees the blocks it pointed at afterwards."""
         inode.file_type = FileType.FREE
         inode.links = 0
         inode.size = 0

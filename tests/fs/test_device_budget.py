@@ -1,4 +1,4 @@
-"""What one data-path call costs in device calls, exactly.
+"""What one file-system call costs in device calls, exactly.
 
 On a replicated device every one of these calls is a quorum round, so
 the numbers below are the file system's share of the protocol's
@@ -11,50 +11,29 @@ import random
 
 import pytest
 
-from repro.device import LocalBlockDevice
 from repro.fs import FileSystem
+from repro.fs.layout import DIRENT_SIZE, INODE_SIZE
 
-BS = 512
+from .conftest import BS, RecordingDevice
+
 BITS_PER_BITMAP_BLOCK = BS * 8
 
 
-class LoggingDevice(LocalBlockDevice):
-    """Keeps every write it is handed, one entry per call."""
-
-    def __init__(self, num_blocks):
-        super().__init__(num_blocks=num_blocks, block_size=BS)
-        self.log = []
-
-    def write_block(self, index, data):
-        self.log.append({index: data})
-        super().write_block(index, data)
-
-    def write_blocks(self, writes):
-        self.log.append(dict(writes))
-        super().write_blocks(writes)
-
-
-def _calls(stats):
-    """(read calls, write calls): a batch is one call."""
-    return (
-        stats.reads - stats.batch_read_blocks + stats.batch_reads,
-        stats.writes - stats.batch_write_blocks + stats.batch_writes,
-    )
-
-
-def _spent(device, call):
-    """Device calls ``call`` makes, and the writes among them."""
-    reads, writes = _calls(device.stats)
-    logged = len(device.log)
-    call()
-    reads_after, writes_after = _calls(device.stats)
-    return reads_after - reads, writes_after - writes, device.log[logged:]
+def _regions(sb, calls):
+    """Which region each of ``calls`` (reads or writes, every one
+    inside one region) went to."""
+    return [
+        "bitmap" if min(blocks) < sb.inode_start
+        else "inode" if min(blocks) < sb.data_start
+        else "data"
+        for blocks in calls
+    ]
 
 
 def _fs_with_file(blocks, lowest_free=None):
     """A file system whose ``/f`` holds ``blocks`` blocks; with
     ``lowest_free``, everything below that block is claimed first."""
-    device = LoggingDevice(num_blocks=8192)
+    device = RecordingDevice(num_blocks=8192)
     fs = FileSystem.format(device, num_inodes=16)
     if lowest_free is not None:
         fs._bitmap.allocate(lowest_free - fs.superblock.data_start)
@@ -76,11 +55,8 @@ def test_allocating_write_in_the_indirect_range(lowest_free, bitmap_flushes):
     fs, device = _fs_with_file(16, lowest_free)
     sb = fs.superblock
     data = random.Random(1).randbytes(8 * BS)
-    _reads, writes, log = _spent(
-        device, lambda: fs.write_file("/f", data, 16 * BS)
-    )
+    _reads, log = device.spent(lambda: fs.write_file("/f", data, 16 * BS))
     # bitmap, the eight blocks as one batch, indirect table, inode
-    assert writes == bitmap_flushes + 3
     assert [len(entry) for entry in log] == [1] * bitmap_flushes + [8, 1, 1]
     bitmap, (table,), (inode,) = log[:bitmap_flushes], log[-2], log[-1]
     for entry in bitmap:
@@ -96,23 +72,85 @@ def test_allocating_write_in_the_indirect_range(lowest_free, bitmap_flushes):
 def test_in_place_overwrite_is_one_write():
     fs, device = _fs_with_file(24)
     data = random.Random(2).randbytes(8 * BS)
-    _reads, writes, log = _spent(
-        device, lambda: fs.write_file("/f", data, 12 * BS)
-    )
-    assert writes == 1 and len(log[0]) == 8
+    _reads, writes = device.spent(lambda: fs.write_file("/f", data, 12 * BS))
+    assert [len(entry) for entry in writes] == [8]
+
+
+def test_write_inside_one_block_reads_that_block_once():
+    fs, device = _fs_with_file(4)
+    reads, writes = device.spent(lambda: fs.write_file("/f", b"x" * 40, BS + 7))
+    (block,) = writes[0]
+    # the inode, then the block both partial ends lie in -- named once
+    assert reads == [[fs.superblock.inode_start], [block]]
+    assert len(writes) == 1
 
 
 def test_read_is_the_table_and_one_batch():
     fs, device = _fs_with_file(24)
-    resolve_reads, _writes, _log = _spent(device, lambda: fs.exists("/f"))
-    before = device.stats.snapshot()
-    reads, writes, _log = _spent(
-        device, lambda: fs.read_file("/f", 12 * BS, 8 * BS)
-    )
-    assert writes == 0
-    assert reads - resolve_reads == 2
-    assert device.stats.batch_reads - before.batch_reads == 2  # a directory, the data
-    assert device.stats.batch_read_blocks - before.batch_read_blocks == 1 + 8
+    sb = fs.superblock
+    reads, writes = device.spent(lambda: fs.read_file("/f", 12 * BS, 8 * BS))
+    # /f is warm since its create: no root inode, no directory scan
+    assert _regions(sb, reads) == ["inode", "data", "data"]
+    assert [len(blocks) for blocks in reads] == [1, 1, 8]  # inode, table, batch
+    assert writes == []
+
+
+def test_resolution_is_cold_once_per_name():
+    fs, device = _fs_with_file(1)
+    sb = fs.superblock
+    fs.mkdir("/a")
+    fs.mkdir("/a/b")
+    fs.create("/a/b/f")
+
+    cold = FileSystem.mount(device)
+    reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
+    # per component the directory's inode and its data as one batch,
+    # then the inode the path names
+    assert _regions(sb, reads) == ["inode", "data"] * 3 + ["inode"]
+    assert [op for op, _blocks in device.log[-7:]] == ["r", "rb"] * 3 + ["r"]
+    reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
+    assert _regions(sb, reads) == ["inode"]
+    # a name that is not there is looked for on the device every time
+    for _again in range(2):
+        reads, _writes = device.spent(lambda: cold.exists("/a/b/ghost"))
+        assert _regions(sb, reads) == ["inode", "data"]
+
+
+def test_a_name_is_warm_from_the_call_that_made_it():
+    fs, device = _fs_with_file(1)
+    sb = fs.superblock
+    fs.mkdir("/a")
+    fs.create("/a/f")
+    fs.rename("/a", "/z")
+    fs.rename("/z/f", "/z/g")
+    for path in ("/z", "/z/g"):
+        reads, _writes = device.spent(lambda: fs.stat(path))
+        assert _regions(sb, reads) == ["inode"], path
+
+
+@pytest.mark.parametrize("blocks", [0, 3, 24])
+def test_unlink_writes_slot_then_inode_then_bitmap(blocks):
+    fs, device = _fs_with_file(blocks)
+    sb = fs.superblock
+    number = fs.stat("/f").inode
+    _reads, writes = device.spent(lambda: fs.unlink("/f"))
+    # an empty file owns no block: there is no bit to clear
+    assert _regions(sb, writes) == ["data", "inode", "bitmap"][: 3 if blocks else 2]
+    (slots,), (table,) = writes[0].values(), writes[1].values()
+    assert slots[:DIRENT_SIZE] == bytes(DIRENT_SIZE)
+    at = number * INODE_SIZE
+    assert table[at : at + INODE_SIZE] == bytes(INODE_SIZE)  # type FREE, no pointer
+
+
+def test_rmdir_writes_slot_then_inode_then_bitmap():
+    fs, device = _fs_with_file(1)
+    sb = fs.superblock
+    fs.mkdir("/d")
+    fs.create("/d/x")
+    fs.unlink("/d/x")  # /d keeps the block its one entry lived in
+    _reads, writes = device.spent(lambda: fs.rmdir("/d"))
+    assert _regions(sb, writes) == ["data", "inode", "bitmap"]
+    assert not fs.exists("/d")
 
 
 def test_unlink_flushes_each_bitmap_block_once():
@@ -121,22 +159,22 @@ def test_unlink_flushes_each_bitmap_block_once():
     fs, device = _fs_with_file(blocks, BITS_PER_BITMAP_BLOCK - 64)
     sb = fs.superblock
     free_before = fs.free_blocks()
-    _reads, _writes, log = _spent(device, lambda: fs.unlink("/f"))
-    flushed = [
-        block
-        for entry in log
-        for block in entry
-        if sb.bitmap_start <= block < sb.inode_start
+    _reads, writes = device.spent(lambda: fs.unlink("/f"))
+    assert _regions(sb, writes) == ["data", "inode", "bitmap", "bitmap"]
+    assert [block for entry in writes[2:] for block in entry] == [
+        sb.bitmap_start, sb.bitmap_start + 1,
     ]
-    assert sorted(flushed) == [sb.bitmap_start, sb.bitmap_start + 1]
     assert fs.free_blocks() == free_before + blocks + 1  # and the table
 
 
 def test_format_reserves_the_metadata_region_in_one_flush():
-    device = LoggingDevice(num_blocks=8192)
-    sb = FileSystem.format(device, num_inodes=256).superblock
+    device = RecordingDevice(num_blocks=8192)
+    _reads, log = device.spent(
+        lambda: FileSystem.format(device, num_inodes=256)
+    )
+    sb = FileSystem.mount(device).superblock
     assert sb.data_start == 35  # all inside the first bitmap block
-    writes = [block for entry in device.log for block in entry]
+    writes = [block for entry in log for block in entry]
     # zeroed, then flushed with the reservation; the second only zeroed
     assert writes.count(sb.bitmap_start) == 2
     assert writes.count(sb.bitmap_start + 1) == 1

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.device import LocalBlockDevice
-from repro.errors import FileExistsFSError, FileNotFoundFSError
+from repro.errors import DeviceError, FileExistsFSError, FileNotFoundFSError
 from repro.fs import DirEntry, Directory, FileSystem
 from repro.fs.layout import DIRENT_SIZE
+
+from .conftest import RecordingDevice
 
 
 def make_root():
@@ -85,3 +87,23 @@ def test_many_entries_span_blocks():
         root.add(name, i + 1)
     assert [e.name for e in root.entries()] == names
     assert root.lookup("file037").inode_number == 38
+
+
+def test_a_refused_write_leaves_the_name_to_the_device():
+    device = RecordingDevice(num_blocks=128)
+    fs = FileSystem.format(device)
+    root = Directory(fs, fs._resolve("/"))
+    root.add("kept", 5)
+    assert (0, "kept") in fs._names
+
+    device.fail_at = device.write_calls + 1
+    with pytest.raises(DeviceError):
+        root.add("new", 6)
+    assert (0, "new") not in fs._names
+    device.fail_at = device.write_calls + 1
+    with pytest.raises(DeviceError):
+        root.remove("kept")
+    # forgotten before the write, whatever became of it: the device decides
+    assert (0, "kept") not in fs._names
+    assert root.lookup("kept").inode_number == 5
+    assert fs._names == {(0, "kept"): 5}

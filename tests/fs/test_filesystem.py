@@ -9,6 +9,7 @@ from repro.errors import (
     FileNotFoundFSError,
     FileTooLargeFSError,
     FSFormatError,
+    InvalidPathFSError,
     IsADirectoryFSError,
     NoSpaceFSError,
     NotADirectoryFSError,
@@ -167,6 +168,26 @@ class TestNamespace:
             fs.create("/plain/child")
         with pytest.raises(NotADirectoryFSError):
             fs.listdir("/plain")
+
+    def test_exists_is_a_predicate_below_a_regular_file(self):
+        fs, _ = make_fs()
+        fs.create("/plain")
+        assert not fs.exists("/plain/child")
+        # every other call says why, and open(create=True) from create
+        for call in (fs.stat, fs.read_file, fs.unlink, fs.mkdir):
+            with pytest.raises(NotADirectoryFSError):
+                call("/plain/child")
+        with pytest.raises(NotADirectoryFSError):
+            fs.open("/plain/child", create=True)
+
+    def test_a_warm_path_is_still_validated(self):
+        fs, _ = make_fs()
+        fs.mkdir("/d")
+        fs.create("/d/f")
+        assert fs.exists("/d/f")
+        for bad in ("d/f", "/d/./f", "/d/../d/f", "/d/" + "n" * 28):
+            with pytest.raises(InvalidPathFSError):
+                fs.read_file(bad)
 
     def test_unlink_frees_everything(self):
         fs, _ = make_fs()

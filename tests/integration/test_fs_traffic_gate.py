@@ -59,3 +59,33 @@ def test_eight_block_calls_cost_what_the_model_says():
     assert (sent, got) == (2 * round_cost.read, data[::-1])
     sent, got = messages(lambda: fs.read_file("/a", 16 * bs, 8 * bs))
     assert (sent, got) == (0, data[::-1])
+
+
+def test_a_path_is_priced_once_per_mount():
+    """No buffer cache here: the file system sits straight on the
+    reliable device, so every device read is a quorum round and the
+    name cache is all that stands between a path and its price."""
+    cluster = make_cluster(SchemeName.VOTING, num_sites=SITES, num_blocks=512)
+    device = cluster.device()
+    fs = FileSystem.format(device)
+    fs.mkdir("/a")
+    fs.mkdir("/a/b")
+    fs.create("/a/b/f")
+    fs.write_file("/a/b/f", b"one block")
+    read = traffic_model(SchemeName.VOTING, SITES, rho=0.0).read
+
+    def messages(call):
+        before = cluster.meter.total
+        call()
+        return cluster.meter.total - before
+
+    # per component its directory's inode and one scan; the file's
+    # inode; for the read, its block
+    cold = FileSystem.mount(device)
+    assert messages(lambda: cold.read_file("/a/b/f")) == 8 * read == 40
+    assert messages(lambda: cold.read_file("/a/b/f")) == 2 * read
+    cold = FileSystem.mount(device)
+    assert messages(lambda: cold.stat("/a/b/f")) == 7 * read
+    assert messages(lambda: cold.stat("/a/b/f")) == 1 * read
+    # the mount that made the names never looks them up
+    assert messages(lambda: fs.stat("/a/b/f")) == 1 * read

@@ -1,10 +1,16 @@
 """Model-based testing of the file system against a dict of bytes."""
 
+import itertools
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device import LocalBlockDevice
 from repro.errors import FileSystemError
 from repro.fs import FileSystem
+
+from ..fs.conftest import RecordingDevice, outcome
 
 NAMES = ["alpha", "beta", "gamma", "delta"]
 
@@ -107,3 +113,163 @@ def test_fs_model_survives_remount(ops):
     assert sorted(remounted.listdir("/")) == sorted(model)
     for name, contents in model.items():
         assert remounted.read_file(f"/{name}") == contents
+
+
+# -- the name cache against the device ----------------------------------------
+#
+# A mount remembers names (``FileSystem._names``); a mount made afresh
+# remembers none.  After every step of a history over a small tree the
+# two must tell the same story.
+
+TREE_NAMES = ["a", "b"]
+#: Every path of the alphabet, three levels deep.
+TREE_PATHS = [
+    "/" + "/".join(parts)
+    for depth in (1, 2, 3)
+    for parts in itertools.product(TREE_NAMES, repeat=depth)
+]
+
+SHALLOW = [path for path in TREE_PATHS if path.count("/") < 3]
+
+
+def tree_operation(rng, tree):
+    """An operation on ``tree`` as it stands.  Three times in four it
+    names a path of the kind it needs (a file to write, a directory to
+    remove, anything to move), so that most histories get somewhere;
+    else any path of the alphabet, for the refusals."""
+    likely = rng.random() < 0.75
+
+    def among(paths):
+        return rng.choice(sorted(paths) if likely and paths else SHALLOW)
+
+    kind = rng.choice(
+        ["create", "mkdir"] * 2
+        + ["write", "truncate", "unlink", "rmdir", "rename", "rename"]
+    )
+    if kind in ("create", "mkdir"):
+        return kind, rng.choice(SHALLOW)
+    if kind == "rename":
+        return kind, among(list(tree)), rng.choice(SHALLOW)
+    path = among(
+        [path for path, held in tree.items() if (held is None) == (kind == "rmdir")]
+    )
+    if kind == "write":
+        return kind, path, rng.randbytes(rng.randrange(600)), rng.randrange(1200)
+    return kind, path
+
+
+def apply_to_tree(tree, op):
+    """Apply ``op`` to ``{path: bytes, or None for a directory}``;
+    returns whether it should succeed (``tree`` is unchanged if not)."""
+
+    def is_directory(path):  # "" is the root
+        return not path or (path in tree and tree[path] is None)
+
+    def vacant(path):
+        return path not in tree and is_directory(path.rsplit("/", 1)[0])
+
+    kind, path = op[0], op[1]
+    if kind in ("create", "mkdir"):
+        if not vacant(path):
+            return False
+        tree[path] = b"" if kind == "create" else None
+    elif kind == "rename":
+        new = op[2]
+        inside = [p for p in tree if p == path or p.startswith(path + "/")]
+        if not inside or not vacant(new) or new.startswith(path + "/"):
+            return False
+        for old in inside:
+            tree[new + old[len(path):]] = tree.pop(old)
+    elif kind == "rmdir":
+        if path not in tree or not is_directory(path) or any(
+            other.startswith(path + "/") for other in tree
+        ):
+            return False
+        del tree[path]
+    elif path not in tree or is_directory(path):
+        return False
+    elif kind == "unlink":
+        del tree[path]
+    elif kind == "truncate":
+        tree[path] = b""
+    else:
+        apply_to_model(tree, op)
+    return True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_mount_and_a_fresh_mount_agree_after_every_step(seed):
+    rng = random.Random(seed)
+    device = LocalBlockDevice(num_blocks=1024, block_size=512)
+    fs = FileSystem.format(device, num_inodes=64)
+    tree = {}
+    for _step in range(60):
+        op = tree_operation(rng, tree)
+        call = getattr(fs, "write_file" if op[0] == "write" else op[0])
+        fs_ok = outcome(lambda: call(*op[1:])) is None
+        assert fs_ok == apply_to_tree(tree, op), op
+        fresh = FileSystem.mount(device)
+        assert fs.walk("/") == fresh.walk("/") == sorted(tree), op
+        for path, contents in tree.items():
+            if contents is not None:
+                assert fs.read_file(path) == fresh.read_file(path) == contents
+        for path in TREE_PATHS:
+            # the same inode number, or the same refusal
+            assert outcome(lambda: fs.stat(path).inode) == outcome(
+                lambda: fresh.stat(path).inode
+            ), (op, path)
+
+
+# The four histories a stale entry would break.
+
+
+def test_a_name_removed_and_made_again_leads_to_the_new_inode():
+    fs = FileSystem.format(LocalBlockDevice(num_blocks=128, block_size=512))
+    fs.create("/f")
+    stale = fs.stat("/f").inode
+    fs.unlink("/f")
+    assert not fs.exists("/f")
+    fs.create("/other")  # takes the inode number /f gave up
+    fs.create("/f")
+    fs.write_file("/other", b"not f")
+    assert fs.stat("/other").inode == stale != fs.stat("/f").inode
+    assert fs.read_file("/f") == b""
+
+
+def test_a_reused_directory_inode_does_not_inherit_names():
+    fs = FileSystem.format(LocalBlockDevice(num_blocks=128, block_size=512))
+    fs.mkdir("/d")
+    fs.create("/d/x")
+    assert fs.exists("/d/x")
+    fs.unlink("/d/x")
+    fs.rmdir("/d")
+    fs.mkdir("/e")
+    assert fs.stat("/e").inode == 1  # the number /d had
+    assert not fs.exists("/e/x") and fs.listdir("/e") == []
+
+
+def test_a_renamed_directory_keeps_its_children_warm():
+    device = RecordingDevice(num_blocks=128)
+    fs = FileSystem.format(device)
+    fs.mkdir("/d")
+    fs.create("/d/x")
+    fs.write_file("/d/x", b"child")
+    fs.rename("/d", "/e")
+    reads, _writes = device.spent(lambda: fs.stat("/e/x"))
+    assert len(reads) == 1  # x's inode: neither / nor /e was scanned
+    assert fs.read_file("/e/x") == b"child"
+    assert not fs.exists("/d") and not fs.exists("/d/x")
+
+
+def test_a_file_moved_across_directories_leaves_its_old_name():
+    fs = FileSystem.format(LocalBlockDevice(num_blocks=128, block_size=512))
+    fs.mkdir("/d")
+    fs.mkdir("/e")
+    fs.create("/d/f")
+    fs.write_file("/d/f", b"moved")
+    assert fs.exists("/d/f")  # the source entry is warm
+    fs.rename("/d/f", "/e/f")
+    assert not fs.exists("/d/f") and fs.listdir("/d") == []
+    assert fs.read_file("/e/f") == b"moved"
+    fs.create("/d/f")
+    assert fs.stat("/d/f").inode != fs.stat("/e/f").inode
