@@ -3,7 +3,8 @@
 PYTHON ?= python3
 
 .PHONY: install test coverage bench bench-json bench-parallel \
-	bench-membership bench-kernel bench-policies bench-smoke metrics \
+	bench-membership bench-kernel bench-policies bench-smoke bench-pairs \
+	metrics \
 	examples experiments lint profile clean
 
 install:
@@ -57,6 +58,17 @@ bench-kernel:
 bench-smoke:
 	$(PYTHON) benchmarks/stack/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/stack -q
+
+# The measurement behind a performance claim: alternating pairs of one
+# BENCHMARK.json workload in a checkout of the parent (A) and of the
+# change (B, this tree unless given), every run and the medians,
+# quartiles and B-better count per end-to-end metric.
+#   make bench-pairs A=../parent W=fs_cached SEED=23
+B ?= .
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --a $(A) --b $(B) --workload $(W) \
+		--seed $(SEED) --pairs $(PAIRS)
 
 # cProfile over the protocol bench workload (tracing off), top 25
 # functions by cumulative time.  The first stop for any hot-path

@@ -20,6 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..errors import DeviceError
 from ..types import BlockIndex
 from .interface import BlockDevice
 
@@ -90,9 +91,16 @@ class BufferCache(BlockDevice):
         return data
 
     def write_block(self, index: BlockIndex, data: bytes) -> None:
-        # Write-through: the backing device is updated (and may raise)
-        # before the cache absorbs the new contents.
-        self._backing.write_block(index, data)
+        # Write-through: the backing device is updated before the cache
+        # absorbs the new contents.  If it raises, the write is in
+        # doubt -- a replicated write can land and then lose its quorum
+        # -- so the cache keeps neither the old nor the new contents,
+        # and the next read asks the device.
+        try:
+            self._backing.write_block(index, data)
+        except DeviceError:
+            self._blocks.pop(index, None)
+            raise
         self.stats.writes += 1
         self._remember(index, bytes(data))
 
@@ -138,11 +146,17 @@ class BufferCache(BlockDevice):
     def write_blocks(self, writes: Mapping[BlockIndex, bytes]) -> None:
         """Write-through a whole batch with one backing call.
 
-        The backing device sees the entire batch at once (and may
-        raise before anything is cached); only then does the cache
-        absorb the new contents, so a failed batch never pollutes it.
+        The backing device sees the entire batch at once; only then
+        does the cache absorb the new contents, so a failed batch never
+        pollutes it.  A batch that raised may have landed in part (see
+        :meth:`write_block`): every block it named is dropped.
         """
-        self._backing.write_blocks(writes)
+        try:
+            self._backing.write_blocks(writes)
+        except DeviceError:
+            for index in writes:
+                self._blocks.pop(index, None)
+            raise
         self.stats.writes += len(writes)
         self.stats.note_batch_write(len(writes))
         for index in sorted(writes):

@@ -51,7 +51,9 @@ class Directory:
     """Entry-level operations over one directory inode.
 
     The class holds no state beyond references: every call reads or
-    writes the directory's data on the device.  What a mount remembers
+    writes the directory's data on the device -- a scan is one device
+    read, single-block while the directory fits one block, one batch
+    past that.  What a mount remembers
     between calls is its name cache (see
     :class:`~repro.fs.filesystem.FileSystem`), and the namespace
     changes only here, so this is where it is kept coherent: a scan

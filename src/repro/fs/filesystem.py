@@ -202,10 +202,13 @@ class FileSystem:
         """Read ``size`` bytes at ``offset``, clipped to the file size.
 
         Beyond the indirect-table read of :meth:`_map_range`, the whole
-        transfer is one batched
-        :meth:`~repro.device.interface.BlockDevice.read_blocks` call
-        for its mapped blocks -- on a replicated device, one quorum
-        round.
+        transfer is one device call for its mapped blocks -- on a
+        replicated device, one quorum round:
+        :meth:`~repro.device.interface.BlockDevice.read_block` when
+        the range maps to one block (a batch of one has nothing to
+        amortise and costs every layer below its containers), one
+        batched :meth:`~repro.device.interface.BlockDevice.read_blocks`
+        otherwise.
         """
         if offset >= inode.size or size <= 0:
             return b""
@@ -216,13 +219,23 @@ class FileSystem:
         blocks, _fresh, _table = self._map_range(
             inode, first, last - first + 1
         )
+        skip = offset - first * bs
+        if first == last:
+            (block,) = blocks
+            if block == NO_BLOCK:
+                return bytes(size)
+            return self._device.read_block(block)[skip : skip + size]
         wanted = [block for block in blocks if block != NO_BLOCK]
-        contents = self._device.read_blocks(wanted) if wanted else {}
+        if len(wanted) > 1:
+            contents = self._device.read_blocks(wanted)
+        else:  # all holes but one, or all holes
+            contents = {
+                block: self._device.read_block(block) for block in wanted
+            }
         hole = bytes(bs)
         data = b"".join(
             hole if block == NO_BLOCK else contents[block] for block in blocks
         )
-        skip = offset - first * bs
         return data[skip : skip + size]
 
     def _write_file_data(
@@ -232,12 +245,17 @@ class FileSystem:
 
         Device writes, in this order and each at most once per call:
         the bitmap blocks covering newly allocated blocks, the data in
-        one batched write, the indirect table if a pointer in it
-        changed, the inode if a pointer in it or the size changed.  So
-        a prefix of the call never leaves a pointer on the device to a
-        block that is free or not yet written; it can only leak blocks.
-        A fresh block is never zero-filled on the device: the batch
-        covers it in full, the uncovered part of an edge block as zeros.
+        one write, the indirect table if a pointer in it changed, the
+        inode if a pointer in it or the size changed.  So a prefix of
+        the call never leaves a pointer on the device to a block that
+        is free or not yet written; it can only leak blocks.  A fresh
+        block is never zero-filled on the device: the write covers it
+        in full, the uncovered part of an edge block as zeros.
+
+        The data write, and before it the read of the existing edge
+        blocks a partial end needs, is the single-block device call
+        when it names one block and the batch call when it names more
+        (see :meth:`_read_file_data`).
         """
         end = offset + len(data)
         if end > self.max_file_size():
@@ -265,16 +283,24 @@ class FileSystem:
                     for block, partial in ((blocks[0], lead), (blocks[-1], trail))
                     if partial and block not in unreferenced
                 ))
-                current = self._device.read_blocks(edges) if edges else {}
+                if len(edges) == 2:
+                    current = self._device.read_blocks(edges)
+                else:
+                    current = {
+                        edge: self._device.read_block(edge) for edge in edges
+                    }
                 padded = b"".join((
                     current.get(blocks[0], bytes(bs))[:lead],
                     data,
                     current.get(blocks[-1], bytes(bs))[bs - trail :],
                 ))
-                self._device.write_blocks({
-                    block: padded[i * bs : (i + 1) * bs]
-                    for i, block in enumerate(blocks)
-                })
+                if first == last:
+                    self._device.write_block(blocks[0], padded)
+                else:
+                    self._device.write_blocks({
+                        block: padded[i * bs : (i + 1) * bs]
+                        for i, block in enumerate(blocks)
+                    })
                 if table is not None:
                     self._device.write_block(
                         inode.indirect, self._table.pack(*table)

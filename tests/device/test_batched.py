@@ -13,9 +13,12 @@ from repro.device.interface import BlockDevice
 from repro.device.reliable import ReliableDevice, RetryPolicy
 from repro.errors import (
     BlockSizeError,
+    DeviceError,
     DeviceUnavailableError,
     ReadOnlyDeviceError,
 )
+from repro.faults import FaultInjector, HistoryRecorder
+from repro.net.sizes import SizeModel
 from repro.types import SchemeName
 
 from ..conftest import make_cluster
@@ -146,6 +149,108 @@ class TestReliableDevice:
         assert dev.stats.reads == 0
         assert dev.stats.writes == 0
         assert dev.fault_stats.read_rounds == 0
+
+
+class TestOneBlockBatchIsTheSingleBlockCall:
+    """``write_blocks({b: d})`` and ``write_block(b, d)``, ``read_blocks([b])``
+    and ``read_block(b)``, are one operation on the wire.  The file
+    system moves a one-block transfer with the single-block calls
+    (DESIGN section 6); this is what says it loses nothing by that."""
+
+    SITES = 5
+    BLOCK = 3
+
+    def observe(self, scheme, batch, fault):
+        """One write and one read of ``BLOCK`` on a fresh five-site
+        group, as a batch of one or as the single-block calls, with
+        ``fault`` armed before the write; everything an observer of the
+        group can tell afterwards."""
+        cluster = make_cluster(scheme, num_sites=self.SITES)
+        recorder = HistoryRecorder()
+        cluster.protocol.recorder = recorder
+        injector = FaultInjector(cluster.protocol, recorder=recorder).attach()
+        device = cluster.device()
+        old, new = payloads(device, {0: 1, 1: 2}).values()
+        device.write_block(self.BLOCK, old)
+        if fault == "origin crash mid-fan-out":
+            injector.arm_mid_write_crash(device.current_origin(), survivors=2)
+        elif fault == "one dropped delivery":
+            injector.drop_deliveries(2)
+        try:
+            if batch:
+                device.write_blocks({self.BLOCK: new})
+                recorder.batch_write_ok(
+                    {self.BLOCK: new}, device.last_write_versions
+                )
+            else:
+                device.write_block(self.BLOCK, new)
+                recorder.write_ok(self.BLOCK, new, device.last_write_version)
+        except DeviceError as exc:
+            recorder.write_failed(self.BLOCK, type(exc).__name__)
+        if batch:
+            got = device.read_blocks([self.BLOCK])
+            recorder.batch_read_ok(got)
+        else:
+            got = {self.BLOCK: device.read_block(self.BLOCK)}
+            recorder.read_ok(self.BLOCK, got[self.BLOCK])
+        assert recorder.check() == []
+        return {
+            "read": got,
+            "copies": [
+                (site.store.version(self.BLOCK), site.store.read(self.BLOCK))
+                for site in cluster.sites
+            ],
+            "rounds": device.fault_stats.snapshot(),
+            "transmissions": cluster.meter.total,
+            "bytes": cluster.meter.total_bytes,
+            # a batch says so in the events the harness records and in
+            # the category of a dropped message -- nowhere else
+            "events": [
+                (e.kind, e.block, e.site, e.value, e.version,
+                 e.info.removeprefix("batch").lstrip("-"))
+                for e in recorder.events
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "fault", [None, "origin crash mid-fan-out", "one dropped delivery"]
+    )
+    def test_same_bytes_versions_rounds_traffic_and_verdict(
+        self, scheme, fault
+    ):
+        single = self.observe(scheme, batch=False, fault=fault)
+        batch = self.observe(scheme, batch=True, fault=fault)
+        # The one difference, pinned as it is: available copy sends the
+        # recipient set behind both forms of the update and the size
+        # model prices it for BATCH_WRITE_UPDATE only (ROADMAP, ledger).
+        dearer = 0
+        if scheme is SchemeName.AVAILABLE_COPY:
+            dearer = self.SITES * SizeModel().vv_entry_bytes
+        assert batch.pop("bytes") - single.pop("bytes") == dearer
+        assert batch == single
+        kinds = [event[0] for event in single["events"]]
+        assert ("torn_write" in kinds) == (fault == "origin crash mid-fan-out")
+
+    def test_what_one_block_costs_on_the_wire(self):
+        """The prices the file system's one-block transfers pay."""
+        costs = {}
+        for scheme in SchemeName:
+            cluster = make_cluster(scheme, num_sites=self.SITES)
+            device = cluster.device()
+            for batch in (False, True):
+                before = cluster.meter.snapshot()
+                block = payloads(device, {self.BLOCK: 7})
+                if batch:
+                    device.write_blocks(block)
+                else:
+                    device.write_block(self.BLOCK, block[self.BLOCK])
+                spent = cluster.meter.snapshot().delta(before)
+                costs[scheme.short, batch] = (spent.total, spent.total_bytes)
+        assert costs == {
+            ("MCV", False): (6, 752), ("MCV", True): (6, 752),
+            ("AC", False): (5, 680), ("AC", True): (5, 720),
+            ("NAC", False): (1, 552), ("NAC", True): (1, 552),
+        }
 
 
 class TestDriverStub:

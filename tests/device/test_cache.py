@@ -3,6 +3,9 @@
 import pytest
 
 from repro.device import BufferCache, LocalBlockDevice
+from repro.errors import DeviceError
+
+from ..fs.conftest import BS, RecordingDevice
 
 
 def make_cached(capacity=2, num_blocks=8, block_size=8):
@@ -71,6 +74,37 @@ def test_failed_write_does_not_pollute_cache():
     with pytest.raises(BlockSizeError):
         cache.write_block(0, b"bad")
     assert cache.read_block(0) == b"AAAAAAAA"
+
+
+@pytest.mark.parametrize("lands", [False, True], ids=["refused", "landed"])
+@pytest.mark.parametrize("batch", [False, True], ids=["block", "blocks"])
+def test_a_write_that_raised_leaves_no_copy_in_the_cache(batch, lands):
+    old, new, kept = (bytes([fill]) * BS for fill in b"onk")
+    backing = RecordingDevice(num_blocks=8)
+    cache = BufferCache(backing, capacity_blocks=4)
+    cache.write_blocks({0: old, 1: old, 2: kept})
+    named = [0, 1] if batch else [0]
+
+    # the next write is refused, or lands and then raises -- what a
+    # replicated write does that loses its quorum after the fan-out
+    backing.in_doubt, backing.fail_at = lands, backing.write_calls + 1
+    with pytest.raises(DeviceError):
+        if batch:
+            cache.write_blocks({index: new for index in named})
+        else:
+            cache.write_block(0, new)
+    backing.fail_at = None
+
+    # the device is the authority on what the write left: every block
+    # the call named is a miss, whichever way it went ...
+    misses = cache.cache_stats.misses
+    for index in named:
+        assert backing.read_block(index) == (new if lands else old)
+        assert cache.read_block(index) == backing.read_block(index)
+    assert cache.cache_stats.misses == misses + len(named)
+    # ... and a block it did not name is still served from memory
+    assert cache.read_block(2) == kept
+    assert cache.cache_stats.misses == misses + len(named)
 
 
 def test_hit_rate():

@@ -24,7 +24,9 @@ class RecordingDevice(LocalBlockDevice):
     ``{block: data}``.  ``write_calls`` counts write calls attempted;
     the ``fail_at``-th is refused with a :class:`DeviceError` before it
     touches the store or the log -- and, with ``stay_down``, so is
-    every one after it.
+    every one after it.  With ``in_doubt`` a failing write is served
+    and logged first and raises afterwards: what a replicated device
+    does when a write lands and then loses its quorum.
     """
 
     def __init__(self, num_blocks):
@@ -33,14 +35,23 @@ class RecordingDevice(LocalBlockDevice):
         self.write_calls = 0
         self.fail_at = None
         self.stay_down = False
+        self.in_doubt = False
 
     def _admit(self):
+        """Count a write call.  A refused one raises here; returns
+        whether the call is to raise once it has been served."""
         self.write_calls += 1
-        if self.fail_at is not None and (
+        fails = self.fail_at is not None and (
             self.write_calls == self.fail_at
             or (self.stay_down and self.write_calls > self.fail_at)
-        ):
+        )
+        if fails and not self.in_doubt:
             raise DeviceError(f"injected at write {self.write_calls}")
+        return fails
+
+    def _settle(self, fails):
+        if fails:
+            raise DeviceError(f"write {self.write_calls} landed, then raised")
 
     def read_block(self, index):
         self.log.append(("r", [index]))
@@ -51,14 +62,16 @@ class RecordingDevice(LocalBlockDevice):
         return super().read_blocks(indices)
 
     def write_block(self, index, data):
-        self._admit()
+        fails = self._admit()
         self.log.append(("w", {index: data}))
         super().write_block(index, data)
+        self._settle(fails)
 
     def write_blocks(self, writes):
-        self._admit()
+        fails = self._admit()
         self.log.append(("wb", dict(writes)))
         super().write_blocks(writes)
+        self._settle(fails)
 
     def spent(self, call):
         """What ``call`` costs: ``(reads, writes)``, the blocks of each

@@ -30,6 +30,14 @@ def _regions(sb, calls):
     ]
 
 
+def _kinds(device, call):
+    """The kind of every device call ``call`` makes, in order: ``"r"``
+    / ``"w"`` single-block, ``"rb"`` / ``"wb"`` batch."""
+    start = len(device.log)
+    call()
+    return [op for op, _blocks in device.log[start:]]
+
+
 def _fs_with_file(blocks, lowest_free=None):
     """A file system whose ``/f`` holds ``blocks`` blocks; with
     ``lowest_free``, everything below that block is claimed first."""
@@ -85,6 +93,68 @@ def test_write_inside_one_block_reads_that_block_once():
     assert len(writes) == 1
 
 
+# The transfer is one device call either way; which one follows from
+# how many blocks the byte range maps to, and from nothing else.  Every
+# call starts with the read of /f's inode (/f holds four blocks).
+ONE_BLOCK_OR_A_BATCH = {
+    "read inside one block": (
+        lambda fs: fs.read_file("/f", BS + 7, 40), ["r", "r"]),
+    "read of one whole block": (
+        lambda fs: fs.read_file("/f", BS, BS), ["r", "r"]),
+    "read across two blocks": (
+        lambda fs: fs.read_file("/f", BS + 7, BS), ["r", "rb"]),
+    # the edge block is read, patched and written back
+    "write inside one block": (
+        lambda fs: fs.write_file("/f", b"x" * 40, BS + 7), ["r", "r", "w"]),
+    # wholly covered: nothing of the old block survives, so no edge read
+    "whole-block overwrite": (
+        lambda fs: fs.write_file("/f", b"x" * BS, BS), ["r", "w"]),
+    "fresh block past the end": (
+        lambda fs: fs.write_file("/f", b"x" * 40, 4 * BS + 7),
+        # bitmap, the block, the inode into its table block
+        ["r", "w", "w", "r", "w"]),
+    "two blocks, both ends partial": (
+        lambda fs: fs.write_file("/f", b"x" * BS, BS + 7), ["r", "rb", "wb"]),
+    "two blocks, one end partial": (
+        lambda fs: fs.write_file("/f", b"x" * (BS + 7), BS), ["r", "r", "wb"]),
+}
+
+
+@pytest.mark.parametrize("case", ONE_BLOCK_OR_A_BATCH)
+def test_one_block_moves_with_the_single_block_call(case):
+    call, kinds = ONE_BLOCK_OR_A_BATCH[case]
+    fs, device = _fs_with_file(4)
+    before = device.stats.snapshot()
+    assert _kinds(device, lambda: call(fs)) == kinds
+    # DeviceStats sees a batch exactly where the log does
+    assert device.stats.batch_reads - before.batch_reads == kinds.count("rb")
+    assert device.stats.batch_writes - before.batch_writes == kinds.count("wb")
+    for op, blocks in device.log[-len(kinds):]:
+        assert (len(blocks) > 1) == (op in ("rb", "wb")), (op, blocks)
+
+
+def test_a_hole_is_read_without_the_device():
+    fs, device = _fs_with_file(0)
+    fs.write_file("/f", b"tail", 3 * BS)  # blocks 0 to 2 stay unmapped
+    sb = fs.superblock
+    for offset, size in ((BS + 7, 40), (0, 3 * BS)):
+        start = len(device.log)
+        assert fs.read_file("/f", offset, size) == bytes(size)
+        made = [blocks for _op, blocks in device.log[start:]]
+        assert _regions(sb, made) == ["inode"], (offset, size)
+
+
+def test_a_sparse_range_that_maps_to_one_block_is_a_single_block_read():
+    fs, device = _fs_with_file(0)
+    fs.write_file("/f", b"tail", 3 * BS)  # blocks 0 to 2 stay unmapped
+    # four file blocks, one device block: it is the mapped count that
+    # selects the call, not the span of the range
+    batches = device.stats.batch_reads
+    assert _kinds(device, lambda: fs.read_file("/f")) == ["r", "r"]
+    assert device.stats.batch_reads == batches
+    assert fs.read_file("/f") == bytes(3 * BS) + b"tail"
+
+
 def test_read_is_the_table_and_one_batch():
     fs, device = _fs_with_file(24)
     sb = fs.superblock
@@ -104,16 +174,31 @@ def test_resolution_is_cold_once_per_name():
 
     cold = FileSystem.mount(device)
     reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
-    # per component the directory's inode and its data as one batch,
-    # then the inode the path names
+    # per component the directory's inode and its data -- one block
+    # each here, so a single-block read -- then the inode the path names
     assert _regions(sb, reads) == ["inode", "data"] * 3 + ["inode"]
-    assert [op for op, _blocks in device.log[-7:]] == ["r", "rb"] * 3 + ["r"]
+    assert [op for op, _blocks in device.log[-7:]] == ["r"] * 7
     reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
     assert _regions(sb, reads) == ["inode"]
     # a name that is not there is looked for on the device every time
     for _again in range(2):
         reads, _writes = device.spent(lambda: cold.exists("/a/b/ghost"))
         assert _regions(sb, reads) == ["inode", "data"]
+
+
+def test_a_directory_past_one_block_is_still_one_scan():
+    device = RecordingDevice(num_blocks=8192)
+    fs = FileSystem.format(device, num_inodes=64)
+    fs.mkdir("/d")
+    last = BS // DIRENT_SIZE  # the entry that starts /d's second block
+    for number in range(last + 1):
+        fs.create(f"/d/f{number}")
+
+    cold = FileSystem.mount(device)
+    made = _kinds(device, lambda: cold.exists(f"/d/f{last}"))
+    # root inode and block, /d's inode and both its blocks, the file's inode
+    assert made == ["r", "r", "r", "rb", "r"]
+    assert len(device.log[-2][1]) == 2
 
 
 def test_a_name_is_warm_from_the_call_that_made_it():

@@ -89,3 +89,46 @@ def test_a_path_is_priced_once_per_mount():
     assert messages(lambda: cold.stat("/a/b/f")) == 1 * read
     # the mount that made the names never looks them up
     assert messages(lambda: fs.stat("/a/b/f")) == 1 * read
+
+
+def test_a_one_block_transfer_is_the_single_block_round():
+    """Figures 3 and 4 as they stand: on a mount with no buffer cache a
+    transfer inside one block costs the single-block read and write
+    rounds, and no batch message of any kind is sent for it."""
+    cluster = make_cluster(SchemeName.VOTING, num_sites=SITES, num_blocks=512)
+    device = cluster.device()
+    fs = FileSystem.format(device)
+    bs = device.block_size
+    fs.create("/f")
+    fs.write_file("/f", bytes(2 * bs))
+    costs = traffic_model(SchemeName.VOTING, SITES, rho=0.0)
+
+    def spent(call):
+        before = cluster.meter.snapshot()
+        call()
+        return cluster.meter.snapshot().delta(before)
+
+    def batch_messages(traffic):
+        return [c for c in traffic.by_category if c.name.startswith("BATCH_")]
+
+    inode = spent(lambda: fs.stat("/f"))  # the inode and nothing else
+    assert (inode.total, inode.total_bytes) == (costs.read, 200)
+
+    # in place and wholly covered: the inode read, then one write round
+    write = spent(lambda: fs.write_file("/f", b"x" * bs, bs))
+    assert write.total - inode.total == costs.write == 6
+    assert write.total_bytes - inode.total_bytes == 752
+    assert batch_messages(write) == []
+
+    # a partial end adds the read of the block it lies in
+    patch = spent(lambda: fs.write_file("/f", b"y" * 40, bs + 7))
+    assert patch.total == 2 * costs.read + costs.write
+    assert patch.total_bytes == 2 * 200 + 752
+    assert batch_messages(patch) == []
+
+    read = spent(lambda: fs.read_file("/f", bs + 7, 40))
+    assert (read.total, read.total_bytes) == (2 * costs.read, 2 * 200)
+    assert batch_messages(read) == []
+
+    # two blocks are a batch, as before
+    assert batch_messages(spent(lambda: fs.read_file("/f"))) != []
