@@ -70,11 +70,13 @@ bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --a $(A) --b $(B) --workload $(W) \
 		--seed $(SEED) --pairs $(PAIRS)
 
-# cProfile over the protocol bench workload (tracing off), top 25
-# functions by cumulative time.  The first stop for any hot-path
-# investigation; no trajectory record is written.
+# cProfile over one full-scale repeat of a BENCHMARK.json workload, timed
+# region only: the top 25 functions by self and by cumulative time.  The
+# first stop for any hot-path investigation; writes nothing.
+#   make profile W=chaos_reconfig SEED=23
 profile:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_kernel.py --profile
+	$(PYTHON) benchmarks/profile.py --workload $(or $(W),block_mcv) \
+		--seed $(or $(SEED),7)
 
 # Smoke test of the observability layer: a short traced workload whose
 # JSON-lines trace is schema-validated on re-read (the CLI exits

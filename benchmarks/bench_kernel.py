@@ -146,31 +146,6 @@ def bench_protocol(operations: int, traced: bool) -> dict:
     }
 
 
-def profile_protocol(operations: int) -> int:
-    """Run the protocol workload under cProfile; print top-25 cumulative.
-
-    The dump is the starting point for any hot-path investigation: the
-    protocol steady-state loops, the network fan-out, and the device
-    layer all appear in the first screen, so a frame that should have
-    been inlined away shows up immediately.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = bench_protocol(operations, traced=False)
-    profiler.disable()
-    print(
-        f"protocol workload: {result['operations']} operations in "
-        f"{result['seconds']}s ({result['events_per_sec']:,} events/sec "
-        f"under the profiler)"
-    )
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative").print_stats(25)
-    return 0
-
-
 # -- trajectory bookkeeping ---------------------------------------------------
 
 def _best_of(repeats: int, run, *args) -> dict:
@@ -279,17 +254,7 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="tiny sizes + schema assertion (the CI step)",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "run the protocol workload once under cProfile, print the "
-            "top 25 functions by cumulative time, and exit (no record)"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.profile:
-        return profile_protocol(args.protocol_ops)
 
     if args.smoke:
         args.scheduler_events = 2_000

@@ -124,15 +124,6 @@ class NoCurrentDataCopyError(DeviceUnavailableError, ProtocolError):
     block-level-replication benefit."""
 
 
-class RecoveryBlockedError(ProtocolError):
-    """A comatose site cannot complete recovery yet.
-
-    For the available-copy scheme this means not every member of the
-    closure of the was-available set has recovered; for the naive scheme
-    it means not every site has recovered.
-    """
-
-
 class QuorumSpecError(ProtocolError):
     """A quorum specification violated the safety constraints.
 

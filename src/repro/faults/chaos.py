@@ -277,6 +277,20 @@ def _build_protocol(config: ChaosConfig):
     raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
+def _random_block(rng: random.Random, size: int) -> bytes:
+    """``size`` payload bytes: ``bytes(rng.getrandbits(8) for _ in
+    range(size))`` in one draw.
+
+    CPython's ``getrandbits(8)`` is the top byte of one 32-bit
+    Mersenne-Twister output, and ``getrandbits(32 * size)`` packs the
+    same ``size`` outputs least significant word first.  Every fourth
+    byte from offset 3 is therefore the same payload, and the generator
+    ends in the same state, so every later draw of a seeded schedule
+    replays unchanged.
+    """
+    return rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
+
+
 def _inject_one(rng, config, protocol, injector, device) -> None:
     """Draw and apply one fault (best effort: a draw may be a no-op)."""
     weights = [
@@ -295,8 +309,7 @@ def _inject_one(rng, config, protocol, injector, device) -> None:
         candidates = [
             (s.site_id, index)
             for s in protocol.sites
-            for index, _data, _v in s.store.written_blocks()
-            if s.store.verify(index)
+            for index in s.store.intact_blocks()
         ]
         if candidates:
             site_id, block = rng.choice(candidates)
@@ -527,10 +540,7 @@ def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
             )
             if rng.random() < config.write_fraction:
                 do_batch_write({
-                    b: bytes(
-                        rng.getrandbits(8)
-                        for _ in range(config.block_size)
-                    )
+                    b: _random_block(rng, config.block_size)
                     for b in sorted(blocks)
                 })
             else:
@@ -538,10 +548,7 @@ def run_chaos(config: ChaosConfig, tracer=None) -> ChaosResult:
         else:
             block = rng.randrange(config.num_blocks)
             if rng.random() < config.write_fraction:
-                value = bytes(
-                    rng.getrandbits(8) for _ in range(config.block_size)
-                )
-                do_write(block, value)
+                do_write(block, _random_block(rng, config.block_size))
             else:
                 do_read(block)
         if config.scrub_every and (step + 1) % config.scrub_every == 0:

@@ -39,7 +39,7 @@ a :class:`Violation` exactly as under the strict checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..types import BlockIndex, SiteId
 
@@ -53,9 +53,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Event:
-    """One entry in a fault-experiment history."""
+class Event(NamedTuple):
+    """One entry in a fault-experiment history.
+
+    A tuple rather than an object: a chaos campaign records tens of
+    thousands of them, and the recorder builds each one positionally.
+    """
 
     kind: str
     block: Optional[BlockIndex] = None
@@ -136,30 +139,29 @@ class HistoryRecorder:
     def __init__(self) -> None:
         self.events: List[Event] = []
 
-    def _add(self, **kw: Any) -> None:
-        self.events.append(Event(**kw))
+    def _add(self, *fields) -> None:
+        """Append ``Event(*fields)``; fields in :class:`Event` order."""
+        self.events.append(Event(*fields))
 
     # -- device operations (recorded by the harness) --------------------------
 
     def write_ok(self, block: BlockIndex, value: bytes,
                  version: int) -> None:
-        self._add(kind="write_ok", block=block, value=bytes(value),
-                  version=version)
+        self._add("write_ok", block, None, bytes(value), version)
 
     def torn_write(self, block: BlockIndex, value: bytes,
                    version: int) -> None:
         """The origin crashed mid-fan-out: outcome indeterminate."""
-        self._add(kind="torn_write", block=block, value=bytes(value),
-                  version=version)
+        self._add("torn_write", block, None, bytes(value), version)
 
     def write_failed(self, block: BlockIndex, reason: str = "") -> None:
-        self._add(kind="write_failed", block=block, info=reason)
+        self._add("write_failed", block, None, None, None, reason)
 
     def read_ok(self, block: BlockIndex, value: bytes) -> None:
-        self._add(kind="read_ok", block=block, value=bytes(value))
+        self._add("read_ok", block, None, bytes(value))
 
     def read_failed(self, block: BlockIndex, reason: str = "") -> None:
-        self._add(kind="read_failed", block=block, info=reason)
+        self._add("read_failed", block, None, None, None, reason)
 
     # -- batched device operations --------------------------------------------
     #
@@ -170,8 +172,8 @@ class HistoryRecorder:
 
     def batch_read_ok(self, values: Dict[BlockIndex, bytes]) -> None:
         for block in sorted(values):
-            self._add(kind="read_ok", block=block,
-                      value=bytes(values[block]), info="batch")
+            self._add("read_ok", block, None, bytes(values[block]), None,
+                      "batch")
 
     def batch_write_ok(
         self,
@@ -179,49 +181,48 @@ class HistoryRecorder:
         versions: Dict[BlockIndex, int],
     ) -> None:
         for block in sorted(values):
-            self._add(kind="write_ok", block=block,
-                      value=bytes(values[block]),
-                      version=versions[block], info="batch")
+            self._add("write_ok", block, None, bytes(values[block]),
+                      versions[block], "batch")
 
     def batch_read_failed(
         self, blocks: List[BlockIndex], reason: str = ""
     ) -> None:
         for block in sorted(blocks):
-            self._add(kind="read_failed", block=block, info=reason)
+            self._add("read_failed", block, None, None, None, reason)
 
     def batch_write_failed(
         self, blocks: List[BlockIndex], reason: str = ""
     ) -> None:
         for block in sorted(blocks):
-            self._add(kind="write_failed", block=block, info=reason)
+            self._add("write_failed", block, None, None, None, reason)
 
     # -- faults (recorded by the injector) ------------------------------------
 
     def crash(self, site: SiteId, mid_write: bool = False) -> None:
-        self._add(kind="crash", site=site,
-                  info="mid-write" if mid_write else "")
+        self._add("crash", None, site, None, None,
+                  "mid-write" if mid_write else "")
 
     def repair(self, site: SiteId) -> None:
-        self._add(kind="repair", site=site)
+        self._add("repair", None, site)
 
     def corruption_injected(self, site: SiteId,
                             block: BlockIndex) -> None:
-        self._add(kind="corruption_injected", site=site, block=block)
+        self._add("corruption_injected", block, site)
 
     def delivery_dropped(self, site: SiteId, category: str) -> None:
-        self._add(kind="delivery_dropped", site=site, info=category)
+        self._add("delivery_dropped", None, site, None, None, category)
 
     # -- protocol observations (recorded via the protocol hooks) ----------------
 
     def corruption_detected(self, site: SiteId,
                             block: BlockIndex) -> None:
-        self._add(kind="corruption_detected", site=site, block=block)
+        self._add("corruption_detected", block, site)
 
     def block_healed(self, site: SiteId, block: BlockIndex) -> None:
-        self._add(kind="block_healed", site=site, block=block)
+        self._add("block_healed", block, site)
 
     def site_fenced(self, site: SiteId) -> None:
-        self._add(kind="site_fenced", site=site)
+        self._add("site_fenced", None, site)
 
     # -- membership (recorded by the membership manager) -------------------------
 
@@ -235,8 +236,8 @@ class HistoryRecorder:
         that is the whole point of the joint-quorum window).
         """
         self._add(
-            kind="view_change", version=epoch,
-            info=f"{phase}:{','.join(str(s) for s in sorted(sites))}",
+            "view_change", None, None, None, epoch,
+            f"{phase}:{','.join(str(s) for s in sorted(sites))}",
         )
 
     # -- summaries ------------------------------------------------------------

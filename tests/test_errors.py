@@ -8,6 +8,8 @@ subclass relationships are API.
 import pytest
 
 from repro import errors
+from repro.net import TrafficMeter
+from repro.sim.stats import TimeWeightedStat
 
 
 def test_everything_derives_from_repro_error():
@@ -30,6 +32,39 @@ def test_unavailability_family():
     ):
         assert issubclass(exc_type, errors.DeviceUnavailableError)
         assert issubclass(exc_type, errors.ProtocolError)
+
+
+def test_network_and_simulation_families():
+    """The two layer bases are caught at their layer's boundary; the
+    two that are also ``RuntimeError`` keep older callers working."""
+    for exc_type in (errors.UnknownSiteError, errors.AccountingError):
+        assert issubclass(exc_type, errors.NetworkError)
+    for exc_type in (errors.ScheduleInPastError, errors.StatSealedError):
+        assert issubclass(exc_type, errors.SimulationError)
+    for exc_type in (errors.AccountingError, errors.StatSealedError):
+        assert issubclass(exc_type, RuntimeError)
+
+
+def test_nested_traffic_record_raises_accounting_error():
+    meter = TrafficMeter()
+    with meter.record("write"):
+        with pytest.raises(errors.AccountingError, match="inside 'write'"):
+            with meter.record("read"):
+                pass
+
+
+def test_update_after_finalize_raises_stat_sealed_error():
+    stat = TimeWeightedStat(initial_value=1.0)
+    stat.finalize(at_time=10.0)
+    with pytest.raises(errors.StatSealedError):
+        stat.update(0.0, at_time=20.0)
+
+
+def test_second_finalize_raises_stat_sealed_error():
+    stat = TimeWeightedStat(initial_value=1.0)
+    stat.finalize(at_time=10.0)
+    with pytest.raises(errors.StatSealedError, match="already finalized"):
+        stat.finalize(at_time=20.0)
 
 
 def test_site_down_is_not_unavailability():
