@@ -4,7 +4,7 @@ PYTHON ?= python3
 
 .PHONY: install test coverage bench bench-json bench-parallel \
 	bench-membership bench-kernel bench-policies bench-smoke bench-pairs \
-	metrics \
+	codelines metrics \
 	examples experiments lint profile clean
 
 install:
@@ -77,6 +77,14 @@ bench-pairs:
 profile:
 	$(PYTHON) benchmarks/profile.py --workload $(or $(W),block_mcv) \
 		--seed $(or $(SEED),7)
+
+# Code lines per file (ast + tokenize: blank lines, comments and
+# docstrings do not count) under P at revision FROM and at TO (default:
+# the working tree), with the totals and the difference.
+#   make codelines FROM=cdd3df4 P="src/repro/net src/repro/analysis"
+codelines:
+	$(PYTHON) benchmarks/codelines.py --a $(FROM) $(if $(TO),--b $(TO)) \
+		$(or $(P),src/repro)
 
 # Smoke test of the observability layer: a short traced workload whose
 # JSON-lines trace is schema-validated on re-read (the CLI exits

@@ -46,7 +46,7 @@ from ..errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
-from ..net.message import MessageCategory
+from ..net.message import MessageCategory, VectorReply
 from ..net.network import NO_REPLY, Network
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
@@ -309,7 +309,7 @@ class AvailableCopyBase(ReplicationProtocol):
                 except CorruptBlockError:
                     self.note_corruption(node.site_id, b)
                     node.store.quarantine(b)
-            return node.version_vector(), blocks
+            return VectorReply(node.version_vector(), blocks, ())
 
         delivered, reply = False, None
         for _ in range(3):  # rides out transient delivery loss
@@ -325,7 +325,7 @@ class AvailableCopyBase(ReplicationProtocol):
                 break
         if not delivered:
             raise SiteDownError(source.site_id, "repair source vanished")
-        vector, blocks = reply
+        vector, blocks, _corrupt = reply
         for block, (data, version) in sorted(blocks.items()):
             target.write_block(block, data, version)
         missing = [
@@ -454,10 +454,11 @@ class AvailableCopyProtocol(AvailableCopyBase):
         """Fan ``content`` out to all available copies, settle, apply.
 
         ``content`` is one ``(block, contents, version)`` update or a
-        batch map; the recipient set rides along behind it (the paper's
-        atomic-broadcast assumption, relaxable by delaying the
-        information one write without extra messages).  Acks gather
-        into a pooled round.
+        batch map.  Every recipient records the recipient set (the
+        paper's atomic-broadcast assumption, relaxable by delaying the
+        information one write without extra messages); like Section
+        5, the wire prices the update alone, so the set is not part of
+        the payload.  Acks gather into a pooled round.
 
         "Write to all available copies" demands every recipient
         actually take the update.  A still-available site whose
@@ -491,12 +492,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
 
         rnd = self._borrow_round()
         try:
-            network.broadcast_round(
-                origin, category, ack, apply,
-                (content, recipients) if type(content) is dict
-                else (*content, recipients),
-                rnd,
-            )
+            network.broadcast_round(origin, category, ack, apply, content, rnd)
             if site.state is not SiteState.FAILED:
                 silent = recipients.difference(
                     rnd.ids[:rnd.count], fenced, (origin,)

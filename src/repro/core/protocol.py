@@ -59,16 +59,16 @@ _PROTOCOL_BATCH_KEYS = ("scheme", "origin", "batch", "local")
 def updates_of(payload: Any) -> Sequence[Update]:
     """The updates a write fan-out message carries, in apply order.
 
-    WRITE_UPDATE carries one ``(block, contents, version)`` tuple
-    (available copy appends the recipient set); BATCH_WRITE_UPDATE a
-    ``{block: (contents, version)}`` map applied in ascending block
-    order.  The two wire shapes are all that differs between a
-    single-block and a batched fan-out, so every fan-out reads its
-    message through this one function (once, for all recipients).
+    WRITE_UPDATE carries one ``(block, contents, version)`` tuple,
+    BATCH_WRITE_UPDATE a ``{block: (contents, version)}`` map applied
+    in ascending block order.  The two wire shapes are all that
+    differs between a single-block and a batched fan-out, so every
+    fan-out reads its message through this one function (once, for
+    all recipients).
     """
     if type(payload) is dict:
         return [(b, *payload[b]) for b in sorted(payload)]
-    return (payload[:3],)
+    return (payload,)
 
 
 class ReplicationProtocol(abc.ABC):

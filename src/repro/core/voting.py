@@ -65,7 +65,7 @@ from ..errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
-from ..net.message import MessageCategory
+from ..net.message import MessageCategory, VectorReply
 from ..net.network import Network
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
@@ -807,7 +807,12 @@ class VotingProtocol(ReplicationProtocol):
             self._record_recovery(start)
 
     def _eager_refresh(self, site: 'Site') -> None:
-        """Ablation baseline: refresh every stale block upon repair."""
+        """Ablation baseline: refresh every stale block upon repair.
+
+        The same version-vector exchange as available copy's repair
+        (Figure 5), priced the same: the reply carries the source's
+        vector and every stale block.
+        """
         start = self.meter.total
         peers = [
             s for s in self.sites
@@ -828,9 +833,9 @@ class VotingProtocol(ReplicationProtocol):
                 except CorruptBlockError:
                     self.note_corruption(node.site_id, b)
                     node.store.quarantine(b)
-            return blocks
+            return VectorReply(node.version_vector(), blocks, ())
 
-        delivered, blocks = self.network.unicast_query(
+        delivered, reply = self.network.unicast_query(
             src=site.site_id,
             dst=source.site_id,
             request=MessageCategory.VERSION_VECTOR_REQUEST,
@@ -839,7 +844,7 @@ class VotingProtocol(ReplicationProtocol):
             payload=site.version_vector(),
         )
         if delivered:
-            for block, (data, version) in sorted(blocks.items()):
+            for block, (data, version) in sorted(reply.blocks.items()):
                 if site.is_witness:
                     site.store.set_version(block, version)
                 else:

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..core.protocol import ReplicationProtocol
+from ..core.version import VersionVector
 from ..errors import NoAvailableCopyError
-from ..net.message import MessageCategory
+from ..net.message import MessageCategory, VectorReply
 from ..types import BlockIndex, SiteId
 
 __all__ = ["ScrubReport", "audit_replicas", "scrub_replicas"]
@@ -83,24 +84,27 @@ def _collect_vectors(protocol: ReplicationProtocol, coordinator: SiteId):
 
     Each site piggybacks the list of its corrupt block copies on the
     same reply, so the integrity audit costs no extra transmissions.
-    Returns ``(vectors, corrupt)`` maps keyed by site id.
+    The request carries an empty vector: the coordinator asks for
+    vectors and offers none.  Returns ``(vectors, corrupt)`` maps keyed
+    by site id.
     """
 
     def serve(node, _payload):
-        return node.version_vector(), node.store.corrupt_blocks()
+        return VectorReply(
+            node.version_vector(), {}, node.store.corrupt_blocks()
+        )
 
     replies = protocol.network.broadcast_query(
         coordinator,
         request=MessageCategory.VERSION_VECTOR_REQUEST,
         reply=MessageCategory.VERSION_VECTOR_REPLY,
         handler=serve,
+        payload=VersionVector(),
     )
-    local = protocol.site(coordinator)
-    replies[coordinator] = (
-        local.version_vector(), local.store.corrupt_blocks()
-    )
-    vectors = {s: vector for s, (vector, _bad) in replies.items()}
-    corrupt = {s: bad for s, (_vector, bad) in replies.items() if bad}
+    replies[coordinator] = serve(protocol.site(coordinator), None)
+    vectors = {s: reply.vector for s, reply in replies.items()}
+    corrupt = {s: reply.corrupt for s, reply in replies.items()
+               if reply.corrupt}
     return vectors, corrupt
 
 

@@ -8,7 +8,6 @@ each one protects is spelled out in its docstring (and in DESIGN.md):
 ========  ==============================================================
 RL001     no unseeded randomness outside ``sim/rng.py``
 RL002     no wall-clock reads in simulation-deterministic packages
-RL003     every ``MessageCategory`` member is priced in ``net/sizes.py``
 RL004     raised exceptions derive from the ``repro.errors`` hierarchy
 RL005     no float ``==``/``!=`` on sim-time or availability values
 RL006     no bare/blanket-swallowed ``except`` in protocol paths
@@ -19,6 +18,9 @@ RL009     no ``Dict[SiteId, ...]`` construction in ``repro.core``
           function bodies (hot paths use the pooled ``QuorumRound``)
 ========  ==============================================================
 
+RL003 (every message category priced) is retired: each category now
+declares its own payload shape, so an unpriced category cannot exist.
+
 Rules are registered in :data:`RULES`; adding one is defining a
 ``Rule`` subclass with a fresh code and decorating it ``@register``.
 """
@@ -26,7 +28,7 @@ Rules are registered in :data:`RULES`; adding one is defining a
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple, Type
+from typing import Dict, Iterator, List, Set, Type
 
 from .context import FileContext, ProjectContext, attribute_chain
 from .diagnostics import Diagnostic
@@ -215,68 +217,6 @@ class WallClock(Rule):
                     ctx, node,
                     f"wall-clock call {'.'.join(chain)}() in "
                     "simulation-deterministic code; use Simulator.now",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RL003 -- message categories priced in the size model
-# ---------------------------------------------------------------------------
-
-
-@register
-class UnpricedMessageCategory(Rule):
-    """Every ``MessageCategory`` member must appear in ``net/sizes.py``.
-
-    Section 5's traffic comparison (Figures 7-12) is only honest while
-    *every* protocol message is accounted for -- both in transmission
-    counts and in the byte-level size model.  A new message category
-    without a ``SizeModel.bytes_for`` entry would silently price as an
-    error at runtime or, worse, be omitted from a refactored model.
-    """
-
-    code = "RL003"
-    name = "unpriced-message-category"
-    description = (
-        "MessageCategory member missing from the net/sizes.py size model"
-    )
-
-    def check_project(
-        self, project: ProjectContext
-    ) -> Iterator[Diagnostic]:
-        message_ctx = project.find("net/message.py")
-        sizes_ctx = project.find("net/sizes.py")
-        if message_ctx is None or sizes_ctx is None:
-            return
-        members: List[Tuple[str, ast.AST]] = []
-        for node in message_ctx.tree.body:
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name == "MessageCategory"
-            ):
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and not stmt.targets[0].id.startswith("_")
-                    ):
-                        members.append((stmt.targets[0].id, stmt))
-        if not members:
-            return
-        referenced: Set[str] = set()
-        for node in ast.walk(sizes_ctx.tree):
-            chain = attribute_chain(node) if isinstance(
-                node, ast.Attribute
-            ) else None
-            if chain and len(chain) == 2 and chain[0] == "MessageCategory":
-                referenced.add(chain[1])
-        for member, stmt in members:
-            if member not in referenced:
-                yield self._diag(
-                    message_ctx, stmt,
-                    f"MessageCategory.{member} has no entry in the "
-                    "net/sizes.py size model; Section 5 byte accounting "
-                    "would miscount it",
                 )
 
 

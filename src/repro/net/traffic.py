@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from ..errors import AccountingError
 from ..sim.stats import RunningStat
-from .message import Message, MessageCategory
+from .message import MessageCategory
 
 __all__ = [
     "TrafficMeter", "TrafficSnapshot", "OperationKind", "ABORTED_SUFFIX",
@@ -72,31 +72,18 @@ class TrafficMeter:
 
     # -- counting (called by the network) ----------------------------------
 
-    def count(
-        self,
-        message: Message,
-        transmissions: int = 1,
-        bytes_each: int = 0,
-    ) -> None:
-        """Record that ``message`` cost ``transmissions`` transmissions.
-
-        On a multicast network a broadcast costs 1; on a unique-addressing
-        network it costs one per destination -- the network passes the
-        right number, plus (optionally) the byte size of each
-        transmission from its :class:`~repro.net.sizes.SizeModel`.
-        """
-        self.count_for(message.category, transmissions, bytes_each)
-
     def count_for(
         self,
         category: MessageCategory,
         transmissions: int = 1,
         bytes_each: int = 0,
     ) -> None:
-        """Like :meth:`count`, but keyed by category directly.
+        """Record ``transmissions`` transmissions of ``category``.
 
-        The network meters through this form on the request/reply fast
-        path, where no :class:`~repro.net.message.Message` object exists.
+        On a multicast network a broadcast costs 1; on a unique-addressing
+        network it costs one per destination -- the network passes the
+        right number, plus (optionally) the byte size of each
+        transmission from its :class:`~repro.net.sizes.SizeModel`.
         """
         self._by_category[category] += transmissions
         self._total += transmissions
@@ -194,10 +181,6 @@ class TrafficMeter:
         """Mean bytes per operation of ``kind`` (0 if none)."""
         stat = self._per_operation_bytes.get(kind)
         return stat.mean if stat and stat.count else 0.0
-
-    def bytes_for(self, kind: OperationKind) -> RunningStat:
-        """The byte-count running statistic for ``kind``."""
-        return self._per_operation_bytes.setdefault(kind, RunningStat())
 
     def reset(self) -> None:
         """Zero every counter (per-operation statistics included)."""

@@ -8,6 +8,8 @@ from repro.errors import QuorumNotReachedError, SiteDownError
 from repro.net import MessageCategory, Network
 from repro.types import AddressingMode, SchemeName, SiteState
 
+from ..conftest import make_cluster
+
 BLOCK_SIZE = 16
 NUM_BLOCKS = 8
 
@@ -221,6 +223,26 @@ class TestEagerRepairAblation:
         assert meter.total > before  # recovery traffic exists now
         assert protocol.site(2).read_block(0) == fill(3)
         assert meter.operations("recovery") == 1
+
+    def test_eager_reply_is_priced_as_what_it_carries(self):
+        """The eager refresh is Figure 5's version-vector exchange: its
+        reply ships the source's vector and every stale block, and
+        costs what available copy's identical exchange costs."""
+        reply = MessageCategory.VERSION_VECTOR_REPLY
+
+        def repair_reply_bytes(scheme, **kwargs):
+            cluster = make_cluster(scheme, num_sites=5, **kwargs)
+            protocol = cluster.protocol
+            protocol.on_site_failed(4)
+            for block in range(3):
+                protocol.write(0, block, bytes(cluster.config.block_size))
+            before = cluster.meter.category_bytes(reply)
+            protocol.on_site_repaired(4)
+            return cluster.meter.category_bytes(reply) - before
+
+        eager = repair_reply_bytes(SchemeName.VOTING, eager_repair=True)
+        assert eager == 32 + 3 * 8 + 3 * (8 + 512)
+        assert eager == repair_reply_bytes(SchemeName.AVAILABLE_COPY)
 
     def test_eager_repair_with_no_peers_is_silent(self):
         protocol, meter = make_group(3, eager_repair=True)

@@ -18,7 +18,6 @@ from repro.errors import (
     ReadOnlyDeviceError,
 )
 from repro.faults import FaultInjector, HistoryRecorder
-from repro.net.sizes import SizeModel
 from repro.types import SchemeName
 
 from ..conftest import make_cluster
@@ -220,13 +219,6 @@ class TestOneBlockBatchIsTheSingleBlockCall:
     ):
         single = self.observe(scheme, batch=False, fault=fault)
         batch = self.observe(scheme, batch=True, fault=fault)
-        # The one difference, pinned as it is: available copy sends the
-        # recipient set behind both forms of the update and the size
-        # model prices it for BATCH_WRITE_UPDATE only (ROADMAP, ledger).
-        dearer = 0
-        if scheme is SchemeName.AVAILABLE_COPY:
-            dearer = self.SITES * SizeModel().vv_entry_bytes
-        assert batch.pop("bytes") - single.pop("bytes") == dearer
         assert batch == single
         kinds = [event[0] for event in single["events"]]
         assert ("torn_write" in kinds) == (fault == "origin crash mid-fan-out")
@@ -248,7 +240,7 @@ class TestOneBlockBatchIsTheSingleBlockCall:
                 costs[scheme.short, batch] = (spent.total, spent.total_bytes)
         assert costs == {
             ("MCV", False): (6, 752), ("MCV", True): (6, 752),
-            ("AC", False): (5, 680), ("AC", True): (5, 720),
+            ("AC", False): (5, 680), ("AC", True): (5, 680),
             ("NAC", False): (1, 552), ("NAC", True): (1, 552),
         }
 

@@ -43,7 +43,7 @@ def test_exit_zero_on_clean_tree(capsys):
 def test_exit_one_on_bad_tree(capsys):
     assert main([str(FIXTURES / "bad")]) == 1
     out = capsys.readouterr().out
-    assert "found 11 problem(s)" in out
+    assert "found 10 problem(s)" in out
 
 
 def test_exit_two_on_missing_path(capsys):
@@ -52,21 +52,22 @@ def test_exit_two_on_missing_path(capsys):
 
 
 def test_list_rules_names_all_nine(capsys):
+    """Nine rules were written; RL003 is retired, so eight remain."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
+    for code in ("RL001", "RL002", "RL004", "RL005", "RL006",
                  "RL007", "RL008", "RL009"):
         assert code in out
-    assert len(RULES) == 9
+    assert "RL003" not in out
+    assert len(RULES) == 8
 
 
 def test_json_format_is_machine_readable(capsys):
     assert main(["--format", "json", str(FIXTURES / "bad")]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 11
+    assert len(payload) == 10
     assert {d["code"] for d in payload} == {
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008",
+        "RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008",
     }
     sample = payload[0]
     assert set(sample) == {"path", "line", "col", "code", "message"}
@@ -84,7 +85,6 @@ def test_golden_output_matches_expected(tmp_path):
     [
         ("RL001", "bad/anywhere/rand.py"),
         ("RL002", "bad/sim/clock.py"),
-        ("RL003", "bad/net"),
         ("RL004", "bad/device/raiser.py"),
         ("RL005", "bad/analysis/avail.py"),
         ("RL006", "bad/core/retry.py"),

@@ -133,54 +133,6 @@ def test_rl002_ignores_sim_time_attributes(tmp_path):
     assert codes == []
 
 
-# -- RL003 ------------------------------------------------------------------
-
-_MESSAGE_WITH_EXTRA = """\
-    import enum
-
-    class MessageCategory(enum.Enum):
-        VOTE_REQUEST = "vote-request"
-        MYSTERY = "mystery"
-"""
-
-_SIZES_PRICING_ONE = """\
-    from .message import MessageCategory
-
-    def bytes_for(category):
-        if category is MessageCategory.VOTE_REQUEST:
-            return 40
-        raise ValueError(category)
-"""
-
-
-def test_rl003_flags_unpriced_category(tmp_path):
-    codes = lint_tree(tmp_path, {
-        "net/message.py": _MESSAGE_WITH_EXTRA,
-        "net/sizes.py": _SIZES_PRICING_ONE,
-    })
-    assert codes == ["RL003"]
-
-
-def test_rl003_clean_when_every_member_priced(tmp_path):
-    codes = lint_tree(tmp_path, {
-        "net/message.py": """\
-            import enum
-
-            class MessageCategory(enum.Enum):
-                VOTE_REQUEST = "vote-request"
-        """,
-        "net/sizes.py": _SIZES_PRICING_ONE,
-    })
-    assert codes == []
-
-
-def test_rl003_noop_without_the_module_pair(tmp_path):
-    codes = lint_tree(tmp_path, {
-        "net/message.py": _MESSAGE_WITH_EXTRA,
-    })
-    assert codes == []
-
-
 # -- RL004 ------------------------------------------------------------------
 
 
@@ -410,25 +362,6 @@ def test_rl008_still_flags_mutation_after_construction(tmp_path):
         """,
     })
     assert codes == ["RL008"]
-
-
-def test_rl003_flags_unpriced_hint_and_read_repair(tmp_path):
-    # Regression for the policy-mitigation categories: forgetting to
-    # price HINT or READ_REPAIR in the size model must fail the lint,
-    # or Section 5 byte accounting silently undercounts the sloppy
-    # policies' mitigation traffic.
-    codes = lint_tree(tmp_path, {
-        "net/message.py": """\
-            import enum
-
-            class MessageCategory(enum.Enum):
-                VOTE_REQUEST = "vote-request"
-                HINT = "hint"
-                READ_REPAIR = "read-repair"
-        """,
-        "net/sizes.py": _SIZES_PRICING_ONE,
-    })
-    assert codes == ["RL003", "RL003"]
 
 
 # -- RL009 ------------------------------------------------------------------

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.net import Message, MessageCategory, TrafficMeter
+from repro.net import MessageCategory, TrafficMeter
 
-
-def msg(category=MessageCategory.VOTE_REQUEST, src=0, dst=1):
-    return Message(src=src, dst=dst, category=category)
+VOTE_REQUEST = MessageCategory.VOTE_REQUEST
 
 
 def test_counting_by_category():
     meter = TrafficMeter()
-    meter.count(msg(MessageCategory.VOTE_REQUEST))
-    meter.count(msg(MessageCategory.VOTE_REPLY))
-    meter.count(msg(MessageCategory.VOTE_REPLY))
+    meter.count_for(MessageCategory.VOTE_REQUEST)
+    meter.count_for(MessageCategory.VOTE_REPLY)
+    meter.count_for(MessageCategory.VOTE_REPLY)
     assert meter.total == 3
     assert meter.category_count(MessageCategory.VOTE_REPLY) == 2
     assert meter.category_count(MessageCategory.BLOCK_TRANSFER) == 0
@@ -21,16 +19,16 @@ def test_counting_by_category():
 
 def test_multi_transmission_count():
     meter = TrafficMeter()
-    meter.count(msg(), transmissions=5)
+    meter.count_for(VOTE_REQUEST, transmissions=5)
     assert meter.total == 5
 
 
 def test_snapshot_delta():
     meter = TrafficMeter()
-    meter.count(msg(MessageCategory.WRITE_UPDATE))
+    meter.count_for(MessageCategory.WRITE_UPDATE)
     before = meter.snapshot()
-    meter.count(msg(MessageCategory.WRITE_UPDATE))
-    meter.count(msg(MessageCategory.WRITE_ACK))
+    meter.count_for(MessageCategory.WRITE_UPDATE)
+    meter.count_for(MessageCategory.WRITE_ACK)
     delta = meter.snapshot().delta(before)
     assert delta.total == 2
     assert delta.by_category == {
@@ -42,9 +40,9 @@ def test_snapshot_delta():
 def test_record_attributes_messages_to_operation():
     meter = TrafficMeter()
     with meter.record("write"):
-        meter.count(msg(), transmissions=3)
+        meter.count_for(VOTE_REQUEST, transmissions=3)
     with meter.record("write"):
-        meter.count(msg(), transmissions=5)
+        meter.count_for(VOTE_REQUEST, transmissions=5)
     with meter.record("read"):
         pass  # zero-message operation still counts
     assert meter.operations("write") == 2
@@ -78,11 +76,11 @@ def test_record_releases_on_exception():
 def test_aborted_operation_does_not_skew_success_means():
     meter = TrafficMeter()
     with meter.record("write"):
-        meter.count(msg(), transmissions=4)
+        meter.count_for(VOTE_REQUEST, transmissions=4)
     with pytest.raises(RuntimeError):
         with meter.record("write"):
             # an expensive probe phase, then the quorum check fails
-            meter.count(msg(), transmissions=10)
+            meter.count_for(VOTE_REQUEST, transmissions=10)
             raise RuntimeError("no quorum")
     # the successful mean only averages completed writes ...
     assert meter.operations("write") == 1
@@ -106,9 +104,9 @@ def test_operation_kinds_lists_recorded_kinds():
 
 def test_reset_clears_everything():
     meter = TrafficMeter()
-    meter.count(msg())
+    meter.count_for(VOTE_REQUEST)
     with meter.record("write"):
-        meter.count(msg())
+        meter.count_for(VOTE_REQUEST)
     meter.reset()
     assert meter.total == 0
     assert meter.operations("write") == 0
