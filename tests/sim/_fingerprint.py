@@ -25,6 +25,8 @@ from functools import partial
 from typing import Any, Dict, List
 
 from repro.core.policy import QuorumPolicy
+from repro.device.cluster import ClusterConfig, ReplicatedCluster
+from repro.errors import DeviceError
 from repro.faults.chaos import ChaosConfig, run_chaos, run_chaos_campaign
 from repro.obs.wiring import traced_workload
 from repro.sim.engine import Simulator
@@ -264,6 +266,88 @@ def membership_campaign(
     }
 
 
+# -- scenario 5: failure/repair transitions under a write load ---------------
+
+def _repair_run(
+    scheme: SchemeName, track_failures: bool, seed: int, horizon: float
+) -> List[Any]:
+    """One n = 5, lambda = 0.2, mu = 1 group with a steady write load.
+
+    A write through ``cluster.device()`` every simulated time unit
+    keeps the version vectors non-empty, so every repair exchanges
+    real vectors and blocks.  After each transition -- once the
+    protocol has reacted and the availability tracker has sampled --
+    one record holds the sim time, each site's state, was-available
+    set and version vector, the meter by category and in bytes, and
+    the protocol's availability.
+    """
+    cluster = ReplicatedCluster(ClusterConfig(
+        scheme=scheme, num_sites=5, num_blocks=16, block_size=32,
+        failure_rate=0.2, repair_rate=1.0, seed=seed,
+        track_failures=track_failures,
+    ))
+    device = cluster.device()
+    rng = random.Random(seed)
+    records: List[Any] = []
+
+    def write() -> None:
+        block = rng.randrange(16)
+        try:
+            device.write_block(block, bytes([rng.randrange(256)]) * 32)
+            outcome = "ok"
+        except DeviceError as exc:
+            outcome = type(exc).__name__
+        records.append(["write", cluster.sim.now, block, outcome])
+        cluster.sim.schedule(1.0, write)
+
+    def sample(kind: str, site_id: int, time: float) -> None:
+        meter = cluster.meter
+        records.append([
+            kind, site_id, time,
+            [[s.state.value, sorted(s.get_was_available()),
+              sorted(s.version_vector().items())] for s in cluster.sites],
+            sorted((c.value, n) for c, n in
+                   meter.snapshot().by_category.items()),
+            meter.total_bytes,
+            cluster.protocol.is_available(),
+        ])
+
+    cluster.failures.on_failure(partial(sample, "fail"))
+    cluster.failures.on_repair(partial(sample, "repair"))
+    cluster.sim.schedule(0.5, write)
+    cluster.run_until(horizon)
+    records.append([
+        "end", cluster.meter.total, cluster.availability(),
+        getattr(cluster.protocol, "total_failure_recoveries", 0),
+    ])
+    return records
+
+
+def repair_path(seed: int = 14, horizon: float = 300.0) -> Dict[str, Any]:
+    """MCV, AC with ``track_failures`` on and off, and NAC through
+    failures and repairs, digested transition by transition.
+
+    Seed 14 takes every group through total failures (two for AC), so
+    both select arms of Figures 5 and 6 -- repair from an available
+    copy, and the comatose wait for a provably current one -- run
+    next to voting's lazy rejoin."""
+    runs = [
+        (SchemeName.VOTING, True),
+        (SchemeName.AVAILABLE_COPY, True),
+        (SchemeName.AVAILABLE_COPY, False),
+        (SchemeName.NAIVE_AVAILABLE_COPY, True),
+    ]
+    records: List[Any] = []
+    summary: Dict[str, Any] = {}
+    for scheme, track in runs:
+        run = _repair_run(scheme, track, seed, horizon)
+        records.append([scheme.value, track])
+        records.extend(run)
+        transitions = sum(1 for r in run if r[0] in ("fail", "repair"))
+        summary[f"{scheme.value}/{track}"] = [transitions, *run[-1][1:]]
+    return {"digest": _digest(records), "summary": summary}
+
+
 #: The sloppy (RF, R, W) point of ``chaos-voting-sloppy``: R = 1 local
 #: reads, W = 2 of 3, hinted handoff and read repair both on.
 _SLOPPY_POLICY = QuorumPolicy(rf=3, r=1, w=2, allow_sloppy=True)
@@ -291,6 +375,7 @@ SCENARIOS = {
     "membership-campaign-nac": partial(
         membership_campaign, scheme=SchemeName.NAIVE_AVAILABLE_COPY
     ),
+    "repair-path": repair_path,
 }
 
 
