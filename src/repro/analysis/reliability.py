@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable, Hashable
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from ..errors import AnalysisError
 from ..types import SchemeName
@@ -97,7 +96,9 @@ def survival_probability(
     if t < 0:
         raise AnalysisError(f"time must be non-negative, got {t}")
     _states, index, q_uu = _partition(chain, is_up, start)
-    transient = _linalg.expm(q_uu * t)
+    from scipy import linalg  # imported on use, like repro.sim.stats
+
+    transient = linalg.expm(q_uu * t)
     row = transient[index[start], :]
     return float(min(1.0, max(0.0, row.sum())))
 

@@ -237,11 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--json", action="store_true",
                          help="emit the snapshot as JSON, not text")
 
+    from .lint.cli import add_lint_arguments
+    from .lint.rules import all_codes
+
     lint = sub.add_parser(
         "lint",
-        help="determinism & protocol-invariant linter (RL001-RL008)",
+        help="determinism & protocol-invariant linter "
+             f"({', '.join(all_codes())})",
     )
-    from .lint.cli import add_lint_arguments
 
     add_lint_arguments(lint)
     return parser

@@ -46,15 +46,19 @@ from ..errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
-from ..net.message import MessageCategory, VectorReply
+from ..net.message import MessageCategory
 from ..net.network import NO_REPLY, Network
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
 from .protocol import ReplicationProtocol, updates_of
-from .version import VersionVector
 from .was_available import closure_ready
 
 __all__ = ["AvailableCopyProtocol", "AvailableCopyBase"]
+
+
+def _probe_answer(node, _payload):
+    """A recovery probe's reply: state, was-available set, version total."""
+    return node.state, node.get_was_available(), node.version_total()
 
 
 class AvailableCopyBase(ReplicationProtocol):
@@ -212,7 +216,8 @@ class AvailableCopyBase(ReplicationProtocol):
 
     def is_available(self) -> bool:
         """At least one copy is in the AVAILABLE state."""
-        return any(s.is_available for s in self.sites)
+        sites = self._sites
+        return any([sites[i].is_available for i in self._order])
 
     # -- write helpers ----------------------------------------------------------
 
@@ -259,22 +264,20 @@ class AvailableCopyBase(ReplicationProtocol):
         Returns the available responder with the highest version total
         (lowest id on ties), None when no copy is available.
         """
-
-        def answer(node, _payload):
-            return (node.state.value, node.get_was_available(),
-                    node.version_total())
-
-        replies = self.network.broadcast_query(
-            site.site_id,
-            request=MessageCategory.RECOVERY_PROBE,
-            reply=MessageCategory.RECOVERY_PROBE_REPLY,
-            handler=answer,
-            payload=None,
-        )
-        available = [
-            (total, -s) for s, (state, _w, total) in replies.items()
-            if state == SiteState.AVAILABLE.value
-        ]
+        rnd = self._borrow_round()
+        try:
+            self._network.broadcast_round(
+                site.site_id, MessageCategory.RECOVERY_PROBE,
+                MessageCategory.RECOVERY_PROBE_REPLY, _probe_answer,
+                None, rnd,
+            )
+            ids, values = rnd.ids, rnd.values
+            available = [
+                (values[k][2], -ids[k]) for k in range(rnd.count)
+                if values[k][0] is SiteState.AVAILABLE
+            ]
+        finally:
+            self._release_round(rnd)
         return self.site(-max(available)[1]) if available else None
 
     def _rejoined(self, source: 'Site', target: 'Site') -> None:
@@ -298,19 +301,6 @@ class AvailableCopyBase(ReplicationProtocol):
         version rather than silently serving outdated data.
         """
         before = target.version_vector()
-
-        def serve(node, payload):
-            vector: VersionVector = payload
-            stale = vector.stale_relative_to(node.version_vector())
-            blocks = {}
-            for b in stale:
-                try:
-                    blocks[b] = (node.read_block(b), node.block_version(b))
-                except CorruptBlockError:
-                    self.note_corruption(node.site_id, b)
-                    node.store.quarantine(b)
-            return VectorReply(node.version_vector(), blocks, ())
-
         delivered, reply = False, None
         for _ in range(3):  # rides out transient delivery loss
             delivered, reply = self.network.unicast_query(
@@ -318,7 +308,7 @@ class AvailableCopyBase(ReplicationProtocol):
                 dst=source.site_id,
                 request=MessageCategory.VERSION_VECTOR_REQUEST,
                 reply=MessageCategory.VERSION_VECTOR_REPLY,
-                handler=serve,
+                handler=self._serve_vector,
                 payload=before,
             )
             if delivered:
@@ -549,8 +539,9 @@ class AvailableCopyProtocol(AvailableCopyBase):
         (Section 3.2's relaxation of atomic broadcast); costs no
         additional high-level transmissions in the paper's accounting.
         """
-        live = {s.site_id for s in self.available_sites()}
-        for site in self.available_sites():
+        available = self.available_sites()
+        live = {s.site_id for s in available}
+        for site in available:
             site.set_was_available(live)
 
     # -- repair: Figure 5 ----------------------------------------------------------

@@ -31,12 +31,15 @@ if TYPE_CHECKING:
     from ..device.site import Site
     from ..membership.view import View
     from .policy import QuorumPolicy
+    from .version import VersionVector
 from ..errors import (
+    CorruptBlockError,
     MembershipError,
     QuorumNotReachedError,
     SiteDownError,
     StaleEpochError,
 )
+from ..net.message import VectorReply
 from ..net.network import Network
 from ..obs.trace import _NULL_SPAN, UNSET
 from ..net.traffic import TrafficMeter
@@ -54,6 +57,8 @@ Update = Tuple[BlockIndex, bytes, int]
 #: ``local`` is written only for a read served without a round.
 _PROTOCOL_BLOCK_KEYS = ("scheme", "origin", "block", "local")
 _PROTOCOL_BATCH_KEYS = ("scheme", "origin", "batch", "local")
+#: Attribute names of a ``protocol.recovery`` event.
+_RECOVERY_KEYS = ("scheme", "messages")
 
 
 def updates_of(payload: Any) -> Sequence[Update]:
@@ -243,8 +248,13 @@ class ReplicationProtocol(abc.ABC):
     # -- site-state helpers ---------------------------------------------------
 
     def available_sites(self) -> List['Site']:
-        """Sites in the AVAILABLE state, in declaration order."""
-        return [s for s in self.sites if s.state is SiteState.AVAILABLE]
+        """Sites in the AVAILABLE state, in declaration order.
+
+        Reads the ``Site.is_available`` mirror, which ``crash`` and
+        ``set_state`` keep equal to ``state is SiteState.AVAILABLE``.
+        """
+        sites = self._sites
+        return [s for i in self._order if (s := sites[i]).is_available]
 
     def comatose_sites(self) -> List['Site']:
         """Sites in the COMATOSE state, in declaration order."""
@@ -570,14 +580,32 @@ class ReplicationProtocol(abc.ABC):
 
     def _record_recovery(self, start_total: int) -> None:
         """Attribute messages sent since ``start_total`` to recovery."""
-        spent = self.meter.total - start_total
-        self.meter.messages_for("recovery").add(spent)
-        self.tracer.event(
-            "protocol.recovery",
-            layer="protocol",
-            scheme=self._scheme_value,
-            messages=spent,
-        )
+        meter = self.meter
+        spent = meter.total - start_total
+        meter.messages_for("recovery").add(spent)
+        emit = self._network._emit
+        if emit is not None:
+            emit("protocol.recovery", "protocol", _RECOVERY_KEYS,
+                 self._scheme_value, spent)
+
+    def _serve_vector(self, node: 'Site', vector: 'VersionVector'):
+        """Figure 5's repair source: answer a version-vector request.
+
+        Replies with ``node``'s own vector plus a copy of every block
+        ``vector`` is stale on.  Stale blocks whose copy at ``node`` is
+        corrupt are omitted (and quarantined there); the requester
+        fetches those elsewhere.  Quarantine keeps the version, so the
+        one vector copy taken up front is the one replied with.
+        """
+        current = node.version_vector()
+        blocks = {}
+        for b in vector.stale_relative_to(current):
+            try:
+                blocks[b] = (node.read_block(b), node.block_version(b))
+            except CorruptBlockError:
+                self.note_corruption(node.site_id, b)
+                node.store.quarantine(b)
+        return VectorReply(current, blocks, ())
 
     # -- invariants (used by tests and debug assertions) --------------------------
 

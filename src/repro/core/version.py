@@ -73,11 +73,11 @@ class VersionVector:
         These are exactly the blocks a recovering site must fetch from its
         repair source.
         """
-        return sorted(
-            block
-            for block, version in other.items()
-            if self.get(block) < version
-        )
+        mine = self._versions.get
+        return sorted([
+            block for block, version in other.items()
+            if mine(block, 0) < version
+        ])
 
     def newer_than(self, other: "VersionVector") -> List[BlockIndex]:
         """Blocks where ``self`` is newer than ``other``, sorted."""
@@ -104,8 +104,11 @@ class VersionVector:
         return sum(self._versions.values())
 
     def copy(self) -> "VersionVector":
-        """An independent copy of this vector."""
-        return VersionVector(self._versions)
+        """An independent copy of this vector (its entries are already
+        non-zero, so they are copied as they are)."""
+        clone = VersionVector.__new__(VersionVector)
+        clone._versions = self._versions.copy()
+        return clone
 
     # -- iteration / comparison ----------------------------------------------
 

@@ -65,7 +65,7 @@ from ..errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
-from ..net.message import MessageCategory, VectorReply
+from ..net.message import MessageCategory
 from ..net.network import Network
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
@@ -748,10 +748,11 @@ class VotingProtocol(ReplicationProtocol):
         write repairs all operational stale copies in its quorum, so any
         up data site is current).
         """
-        up = [s for s in self.sites if s.state is not SiteState.FAILED]
+        sites = self._sites
+        up = [i for i in self._order if sites[i].is_reachable]
         return (
-            self._decider.read_available([s.site_id for s in up])
-            and any(not s.is_witness for s in up)
+            self._decider.read_available(up)
+            and any(not sites[i].is_witness for i in up)
         )
 
     def on_site_failed(self, site_id: SiteId) -> None:
@@ -822,25 +823,12 @@ class VotingProtocol(ReplicationProtocol):
             self._record_recovery(start)
             return
         source = max(peers, key=lambda s: (s.version_total(), -s.site_id))
-
-        def serve(node, payload):
-            vector = payload
-            stale = vector.stale_relative_to(node.version_vector())
-            blocks = {}
-            for b in stale:
-                try:
-                    blocks[b] = (node.read_block(b), node.block_version(b))
-                except CorruptBlockError:
-                    self.note_corruption(node.site_id, b)
-                    node.store.quarantine(b)
-            return VectorReply(node.version_vector(), blocks, ())
-
         delivered, reply = self.network.unicast_query(
             src=site.site_id,
             dst=source.site_id,
             request=MessageCategory.VERSION_VECTOR_REQUEST,
             reply=MessageCategory.VERSION_VECTOR_REPLY,
-            handler=serve,
+            handler=self._serve_vector,
             payload=site.version_vector(),
         )
         if delivered:

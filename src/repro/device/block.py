@@ -213,6 +213,10 @@ class BlockStore:
         """A *copy* of the store's full version vector."""
         return self._versions.copy()
 
+    def version_total(self) -> int:
+        """``version_vector().total()``, summed in place (no copy)."""
+        return self._versions.total()
+
     def written_blocks(self) -> Iterator[Tuple[BlockIndex, bytes, int]]:
         """(index, data, version) for every explicitly written block."""
         for index in sorted(self._data):

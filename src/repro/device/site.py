@@ -61,6 +61,7 @@ class Site:
         self.read_block = self._store.read
         self.write_block = self._store.write
         self.block_version = self._store.version
+        self.version_total = self._store.version_total
         self._weight = float(weight)
         self._is_witness = bool(is_witness)
         self._state = SiteState.AVAILABLE
@@ -151,16 +152,17 @@ class Site:
     def block_version(self, index: BlockIndex) -> VersionNumber:
         return self._store.version(index)
 
-    # read_block / write_block / block_version are shadowed by bound
-    # store methods in __init__ (see there); the defs above remain the
-    # API of record and the fallback for subclass-style introspection.
+    def version_total(self) -> int:
+        """Scalar recency proxy used to pick the most current copy."""
+        return self._store.version_total()
+
+    # read_block / write_block / block_version / version_total are
+    # shadowed by bound store methods in __init__ (see there); the defs
+    # above remain the API of record and the fallback for
+    # subclass-style introspection.
 
     def version_vector(self) -> VersionVector:
         return self._store.version_vector()
-
-    def version_total(self) -> int:
-        """Scalar recency proxy used to pick the most current copy."""
-        return self._store.version_vector().total()
 
     # -- membership epoch (durable, like the was-available set) ------------------
 
@@ -180,7 +182,8 @@ class Site:
 
     def get_was_available(self) -> Set[SiteId]:
         """The durable was-available set W_s (defaults to {self})."""
-        return set(self.meta.get("was_available", {self._site_id}))
+        stored = self.meta.get("was_available")
+        return {self._site_id} if stored is None else set(stored)
 
     def set_was_available(self, sites: Set[SiteId]) -> None:
         """Durably record W_s."""

@@ -15,7 +15,8 @@ RL007     no mutable default arguments
 RL008     no mutation of ``View`` membership fields outside
           ``repro.membership``
 RL009     no ``Dict[SiteId, ...]`` construction in ``repro.core``
-          function bodies (hot paths use the pooled ``QuorumRound``)
+          function bodies and no ``broadcast_query`` call in
+          ``repro.core`` (hot paths use the pooled ``QuorumRound``)
 ========  ==============================================================
 
 RL003 (every message category priced) is retired: each category now
@@ -596,17 +597,21 @@ class SiteKeyedReplyDict(Rule):
     compatibility helpers kept for the slow path -- stay allowed via
     ``# repro: noqa[RL009]`` with the reason in a nearby comment.
 
-    Detection is annotation-driven: the rule flags annotated
-    assignments whose declared type mentions ``Dict[SiteId, ...]``.
-    Unannotated dict builds are invisible to it -- the hot paths are
-    fully annotated, and the rule is a tripwire, not a proof.
+    Detection has two halves.  The rule flags annotated assignments
+    whose declared type mentions ``Dict[SiteId, ...]``, and any call
+    of ``broadcast_query`` -- the one network primitive that returns
+    a fresh site-keyed reply dict, whatever the caller annotates;
+    ``broadcast_round`` fills a pooled round instead.  Other
+    unannotated dict builds are invisible to it: the rule is a
+    tripwire, not a proof.
     """
 
     code = "RL009"
     name = "site-keyed-reply-dict"
     description = (
-        "Dict[SiteId, ...] constructed inside a repro.core function; "
-        "hot paths use the pooled QuorumRound reply table instead"
+        "Dict[SiteId, ...] constructed inside a repro.core function, "
+        "or broadcast_query called there; hot paths use the pooled "
+        "QuorumRound reply table instead"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -635,4 +640,17 @@ class SiteKeyedReplyDict(Rule):
                     "QuorumRound reply table (core/round.py) -- hoist "
                     "the dict to setup, or suppress with "
                     "# repro: noqa[RL009] if this path is cold",
+                )
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = attribute_chain(node.func)
+            if chain is not None and chain[-1] == "broadcast_query":
+                yield self._diag(
+                    ctx, node,
+                    "broadcast_query on a repro.core path builds a "
+                    "Dict[SiteId, ...] of replies per call; gather into "
+                    "a pooled QuorumRound with broadcast_round, or "
+                    "suppress with # repro: noqa[RL009] if this path "
+                    "is cold",
                 )

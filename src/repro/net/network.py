@@ -292,9 +292,7 @@ class Network:
             transmissions = 1
         else:
             transmissions = len(destinations)
-        self._meter.count_for(
-            category, transmissions=transmissions, bytes_each=size
-        )
+        self._meter.count_for(category, transmissions, transmissions * size)
         emit = self._emit
         if emit is not None:
             # ``._value_`` is the member's plain value slot; ``.value``
@@ -314,7 +312,7 @@ class Network:
     ) -> None:
         """Meter a reply: replies are always individually addressed."""
         size = self._size_model.bytes_of(category, payload)
-        self._meter.count_for(category, transmissions=1, bytes_each=size)
+        self._meter.count_for(category, 1, size)
         emit = self._emit
         if emit is not None:
             emit(
@@ -401,14 +399,16 @@ class Network:
 
         Replies are appended to ``out`` (a pooled
         :class:`~repro.core.round.QuorumRound`) in the same arrival
-        order the reply dict's insertion order had.  When the reply category has a
-        payload-independent size, reply transmissions are metered as
-        one batched :meth:`TrafficMeter.count_for` call -- the meter is
-        pure counter arithmetic, so ``k`` transmissions of ``size``
-        bytes accumulate identically either way.  The flush sits in a
-        ``finally`` so a handler that raises mid-loop still meters the
-        replies already received, matching the per-reply path.  Each
-        reply still emits its own ``net.reply`` event as it arrives.
+        order the reply dict's insertion order had.  A reply's size is
+        its category's fixed size or, for a payload-dependent category,
+        :meth:`SizeModel.bytes_of` of the reply; the sizes are summed,
+        and the round's replies are booked in one
+        :meth:`TrafficMeter.count_for` call -- the meter is pure
+        counter arithmetic, so they accumulate identically to one call
+        per reply.  The flush sits in a ``finally`` so a handler that
+        raises mid-loop still meters the replies already received.
+        Each reply still emits its own ``net.reply`` event, with its
+        own size, as it arrives.
         """
         if destinations is None:
             pairs = self._peers(src)
@@ -428,8 +428,9 @@ class Network:
         out_ids = out.ids
         out_values = out.values
         fixed = self._size_model.fixed_bytes(reply)
+        bytes_of = self._size_model.bytes_of
         emit = self._emit
-        batched = 0
+        replies = total = 0
         try:
             for dst, node in pairs:
                 if node is None:
@@ -447,15 +448,15 @@ class Network:
                     result = handler(node, payload)
                 if result is NO_REPLY:
                     continue
-                if fixed is None:
-                    self._count_reply(reply, dst, src, result)
-                else:
-                    if emit is not None:
-                        emit(
-                            "net.reply", "net", _REPLY_KEYS,
-                            reply._value_, dst, src, fixed,
-                        )
-                    batched += 1
+                size = fixed if fixed is not None \
+                    else bytes_of(reply, result)
+                if emit is not None:
+                    emit(
+                        "net.reply", "net", _REPLY_KEYS,
+                        reply._value_, dst, src, size,
+                    )
+                replies += 1
+                total += size
                 i = out.count
                 out_ids[i] = dst
                 out_values[i] = result
@@ -463,10 +464,8 @@ class Network:
                 if type(result) is int and result > out.top:
                     out.top = result
         finally:
-            if batched:
-                self._meter.count_for(
-                    reply, transmissions=batched, bytes_each=fixed
-                )
+            if replies:
+                self._meter.count_for(reply, replies, total)
 
     def broadcast_oneway(
         self,

@@ -86,10 +86,9 @@ class SizeModel:
         """Payload-independent size of ``category``, or ``None``.
 
         ``None`` means the category's size depends on its payload and
-        must go through :meth:`bytes_of`.  The network uses this to
-        decide whether a fan-out's replies can be metered as one batch
-        (every reply of a fixed-size category costs the same, so *k*
-        replies meter identically to one call with ``transmissions=k``).
+        must go through :meth:`bytes_of`.  A fan-out's reply loop looks
+        this up once per round, so a fixed-size reply costs no
+        :meth:`bytes_of` call.
         """
         return self._fixed.get(category)
 

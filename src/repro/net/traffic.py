@@ -76,21 +76,22 @@ class TrafficMeter:
         self,
         category: MessageCategory,
         transmissions: int = 1,
-        bytes_each: int = 0,
+        total_bytes: int = 0,
     ) -> None:
         """Record ``transmissions`` transmissions of ``category``.
 
         On a multicast network a broadcast costs 1; on a unique-addressing
         network it costs one per destination -- the network passes the
-        right number, plus (optionally) the byte size of each
-        transmission from its :class:`~repro.net.sizes.SizeModel`.
+        right number, plus (optionally) the bytes those transmissions
+        carry between them, priced by its
+        :class:`~repro.net.sizes.SizeModel`.  Sizes may differ per
+        transmission: a fan-out's replies are booked in one call.
         """
         self._by_category[category] += transmissions
         self._total += transmissions
-        if bytes_each:
-            total = transmissions * bytes_each
-            self._bytes_by_category[category] += total
-            self._total_bytes += total
+        if total_bytes:
+            self._bytes_by_category[category] += total_bytes
+            self._total_bytes += total_bytes
 
     # -- queries ------------------------------------------------------------
 
@@ -174,8 +175,15 @@ class TrafficMeter:
         return stat.mean if stat and stat.count else 0.0
 
     def messages_for(self, kind: OperationKind) -> RunningStat:
-        """The full running statistic for ``kind`` (count/mean/stddev)."""
-        return self._per_operation.setdefault(kind, RunningStat())
+        """The full running statistic for ``kind`` (count/mean/stddev).
+
+        Get-then-insert, like :meth:`_attribute`: a known kind
+        constructs no throwaway :class:`RunningStat`.
+        """
+        stat = self._per_operation.get(kind)
+        if stat is None:
+            stat = self._per_operation[kind] = RunningStat()
+        return stat
 
     def mean_bytes(self, kind: OperationKind) -> float:
         """Mean bytes per operation of ``kind`` (0 if none)."""

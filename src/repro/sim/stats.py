@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
 from ..errors import StatSealedError
 
 __all__ = [
@@ -210,7 +208,10 @@ def batch_means(
         means.append(sum(batch) / len(batch))
     stat = RunningStat()
     stat.extend(means)
-    t_crit = _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=num_batches - 1)
+    # Imported here: scipy.stats costs most of ``import repro``.
+    from scipy import stats
+
+    t_crit = stats.t.ppf(0.5 + confidence / 2.0, df=num_batches - 1)
     return ConfidenceInterval(
         mean=stat.mean,
         half_width=float(t_crit) * stat.stderr,

@@ -43,7 +43,7 @@ def test_exit_zero_on_clean_tree(capsys):
 def test_exit_one_on_bad_tree(capsys):
     assert main([str(FIXTURES / "bad")]) == 1
     out = capsys.readouterr().out
-    assert "found 10 problem(s)" in out
+    assert "found 11 problem(s)" in out
 
 
 def test_exit_two_on_missing_path(capsys):
@@ -62,12 +62,25 @@ def test_list_rules_names_all_nine(capsys):
     assert len(RULES) == 8
 
 
+def test_lint_help_names_every_registered_rule():
+    """The ``repro lint`` help line is built from the rule registry."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "--help"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    text = " ".join(result.stdout.split())
+    assert f"linter ({', '.join(sorted(RULES))})" in text
+    assert "RL003" not in text
+
+
 def test_json_format_is_machine_readable(capsys):
     assert main(["--format", "json", str(FIXTURES / "bad")]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 10
+    assert len(payload) == 11
     assert {d["code"] for d in payload} == {
         "RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008",
+        "RL009",
     }
     sample = payload[0]
     assert set(sample) == {"path", "line", "col", "code", "message"}
@@ -89,6 +102,7 @@ def test_golden_output_matches_expected(tmp_path):
         ("RL005", "bad/analysis/avail.py"),
         ("RL006", "bad/core/retry.py"),
         ("RL007", "bad/util/defaults.py"),
+        ("RL009", "bad/core/probe.py"),
     ],
 )
 def test_each_fixture_fails_alone_naming_its_code(code, target):

@@ -434,3 +434,31 @@ def test_rl009_suppressible_with_noqa(tmp_path):
         """,
     })
     assert codes == []
+
+
+def test_rl009_flags_broadcast_query_in_core(tmp_path):
+    """An unannotated reply dict from broadcast_query is caught too."""
+    codes = lint_tree(tmp_path, {
+        "core/proto.py": """\
+            def probe(self, site):
+                replies = self.network.broadcast_query(site, 1, 2, None)
+                return max(replies)
+        """,
+    })
+    assert codes == ["RL009"]
+
+
+def test_rl009_allows_broadcast_query_outside_core_and_round(tmp_path):
+    codes = lint_tree(tmp_path, {
+        # Scrub and membership catch-up live outside repro/core.
+        "device/scrub.py": """\
+            def audit(protocol, site):
+                return protocol.network.broadcast_query(site, 1, 2, None)
+        """,
+        "core/proto.py": """\
+            def probe(self, site, rnd):
+                self.network.broadcast_round(site, 1, 2, None, None, rnd)
+                return rnd.count
+        """,
+    })
+    assert codes == []

@@ -117,3 +117,22 @@ def test_mean_messages_unknown_kind_is_zero():
     meter = TrafficMeter()
     assert meter.mean_messages("recovery") == 0.0
     assert meter.operations("recovery") == 0
+
+
+def test_messages_for_a_known_kind_builds_no_new_stat(monkeypatch):
+    """Get-then-insert: only the first lookup of a kind constructs."""
+    import repro.net.traffic as traffic
+
+    built = []
+
+    class CountingStat(traffic.RunningStat):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(traffic, "RunningStat", CountingStat)
+    meter = TrafficMeter()
+    first = meter.messages_for("recovery")
+    assert len(built) == 1
+    assert meter.messages_for("recovery") is first
+    assert len(built) == 1
