@@ -68,7 +68,6 @@ from .reliability import (
 from .participation import (
     available_copy_participation,
     naive_participation,
-    participation,
     participation_asymptote,
     voting_participation,
     voting_participation_from_chain,
@@ -100,7 +99,6 @@ __all__ = [
     "voting_participation_from_chain",
     "available_copy_participation",
     "naive_participation",
-    "participation",
     "participation_asymptote",
     "available_copy_lower_bound",
     "voting_upper_bound",

@@ -169,16 +169,14 @@ def naive_availability_from_chain(n: int, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Scheme level: the record's availability
 # ---------------------------------------------------------------------------
 
 
 def scheme_availability(scheme: SchemeName, n: int, rho: float) -> float:
     """Availability of ``n`` copies under any of the three schemes."""
-    if scheme is SchemeName.VOTING:
-        return voting_availability(n, rho)
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return available_copy_availability(n, rho)
-    if scheme is SchemeName.NAIVE_AVAILABLE_COPY:
-        return naive_availability(n, rho)
-    raise AnalysisError(f"unknown scheme {scheme!r}")
+    # repro.schemes imports this module, so the record is looked up at
+    # call time.
+    from ..schemes import SCHEMES
+
+    return SCHEMES[scheme].availability(n, rho)

@@ -38,13 +38,12 @@ read/write comparison does.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..net.sizes import SizeModel
-from ..net.traffic import READ, RECOVERY, WRITE
 from ..types import AddressingMode, SchemeName
-from .participation import participation
-from .traffic import OperationCosts, Script, check, message_script
+from .traffic import OperationCosts, Script, script_costs
 
 __all__ = [
     "ByteCosts", "byte_traffic_model", "byte_access_cost", "script_bytes",
@@ -92,23 +91,10 @@ def byte_traffic_model(
     in the version vectors); both default to zero, yielding the
     *minimum* recovery byte cost.
     """
-    check(n, stale_read_fraction)
-    u = participation(scheme, n, rho)
-
-    def cost(op: str, stale: float) -> float:
-        script = message_script(
-            scheme, op, n, mode, stale, vector=expected_vv_entries
-        )
-        return script_bytes(script, n, u, size_model)
-
-    return ByteCosts(
-        scheme=scheme,
-        mode=mode,
-        num_sites=n,
-        rho=rho,
-        write=cost(WRITE, 0.0),
-        read=cost(READ, stale_read_fraction),
-        recovery=cost(RECOVERY, expected_stale_blocks),
+    return script_costs(
+        ByteCosts, scheme, n, rho, mode,
+        partial(script_bytes, size_model=size_model), stale_read_fraction,
+        expected_stale_blocks, expected_vv_entries,
     )
 
 

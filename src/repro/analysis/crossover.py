@@ -74,7 +74,11 @@ def crossover_failures_per_access(
     below the AC scheme's, which cannot happen for these models) --
     callers can rely on a finite positive answer.
     """
-    if against is SchemeName.VOTING:
+    # repro.schemes imports this package, so the record is looked up at
+    # call time.
+    from ..schemes import SCHEMES
+
+    if SCHEMES[against].spec is not None:
         raise AnalysisError("compare voting against an available-copy scheme")
     voting = traffic_model(SchemeName.VOTING, n, rho, mode=mode)
     other = traffic_model(against, n, rho, mode=mode)

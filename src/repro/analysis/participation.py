@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..errors import AnalysisError
-from ..types import SchemeName
 from .chains import (
     available_copies,
     available_copy_chain,
@@ -37,7 +36,6 @@ __all__ = [
     "voting_participation",
     "available_copy_participation",
     "naive_participation",
-    "participation",
     "participation_asymptote",
 ]
 
@@ -85,17 +83,6 @@ def naive_participation(n: int, rho: float) -> float:
         return float(n)
     chain = naive_available_copy_chain(n, rho)
     return chain.expected_value(available_copies, condition=is_available_state)
-
-
-def participation(scheme: SchemeName, n: int, rho: float) -> float:
-    """``U`` for any scheme (dispatch)."""
-    if scheme is SchemeName.VOTING:
-        return voting_participation(n, rho)
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return available_copy_participation(n, rho)
-    if scheme is SchemeName.NAIVE_AVAILABLE_COPY:
-        return naive_participation(n, rho)
-    raise AnalysisError(f"unknown scheme {scheme!r}")
 
 
 def participation_asymptote(n: int, rho: float) -> float:

@@ -31,13 +31,6 @@ import numpy as np
 from ..errors import AnalysisError
 from ..types import SchemeName
 from .availability import scheme_availability
-from .chains import (
-    available_copy_chain,
-    is_available_state,
-    is_voting_available,
-    naive_available_copy_chain,
-    voting_chain,
-)
 from .markov import MarkovChain
 
 __all__ = [
@@ -130,22 +123,8 @@ def mean_outage_duration(
 
 
 # ---------------------------------------------------------------------------
-# Scheme-level dispatch (all copies up at t = 0, mu = 1)
+# Scheme level: the record's chain, all copies up at t = 0, mu = 1
 # ---------------------------------------------------------------------------
-
-
-def _chain_and_start(scheme: SchemeName, n: int, rho: float):
-    if scheme is SchemeName.VOTING:
-        return voting_chain(n, rho), is_voting_available(n), ("V", 1, n - 1)
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return available_copy_chain(n, rho), is_available_state, ("S", n)
-    if scheme is SchemeName.NAIVE_AVAILABLE_COPY:
-        return (
-            naive_available_copy_chain(n, rho),
-            is_available_state,
-            ("S", n),
-        )
-    raise AnalysisError(f"unknown scheme {scheme!r}")
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +137,9 @@ def scheme_mttf(scheme: SchemeName, n: int, rho: float) -> float:
     """
     if rho <= 0:
         raise AnalysisError("rho must be positive for a finite MTTF")
-    chain, is_up, start = _chain_and_start(scheme, n, rho)
+    from ..schemes import SCHEMES  # it imports this package
+
+    chain, is_up, start = SCHEMES[scheme].markov(n, rho)
     return mean_time_to_failure(chain, is_up, start)
 
 
@@ -173,13 +154,17 @@ def scheme_survival(
     """
     if rho <= 0:
         raise AnalysisError("rho must be positive")
-    chain, is_up, start = _chain_and_start(scheme, n, rho)
+    from ..schemes import SCHEMES  # it imports this package
+
+    chain, is_up, start = SCHEMES[scheme].markov(n, rho)
     return survival_probability(chain, is_up, start, t)
 
 
 @lru_cache(maxsize=None)
 def scheme_mean_outage(scheme: SchemeName, n: int, rho: float) -> float:
     """Expected duration of one unavailability episode.  Cached."""
-    chain, is_up, start = _chain_and_start(scheme, n, rho)
+    from ..schemes import SCHEMES  # it imports this package
+
+    chain, is_up, start = SCHEMES[scheme].markov(n, rho)
     availability = scheme_availability(scheme, n, rho)
     return mean_outage_duration(chain, is_up, start, availability)

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import List, Mapping, NamedTuple
+from typing import Callable, List, Mapping, NamedTuple, Type, TypeVar
 
 from ..errors import AnalysisError
 from ..net.message import MessageCategory as M
 from ..net.traffic import READ, RECOVERY, WRITE
 from ..types import AddressingMode, SchemeName
-from .participation import participation
 
 __all__ = [
     "OperationCosts",
@@ -57,6 +56,8 @@ __all__ = [
     "Count",
     "Send",
     "message_script",
+    "voting_script",
+    "available_copy_script",
     "script_transmissions",
 ]
 
@@ -116,32 +117,55 @@ def message_script(
     for a recovery, the blocks modified while the site was down.  A
     recovery's two version vectors carry ``vector`` entries each, and
     every probe reply names all ``n`` sites in its was-available set.
+    The script itself is the scheme record's
+    (:attr:`repro.schemes.Scheme.script`).
     """
+    # repro.schemes imports this module, so the record is looked up at
+    # call time.
+    from ..schemes import SCHEMES
+
     if op not in (READ, WRITE, RECOVERY):
         raise AnalysisError(f"unknown operation {op!r}")
-    multicast = mode is AddressingMode.MULTICAST
-    fanout = _ONCE if multicast else Count(sites=1, fixed=-1)
-    if scheme is SchemeName.VOTING:
-        # Figures 3-4: collect votes; a stale read pulls one block, a
-        # write pushes the update to the voters.  Repair is lazy.
-        votes = [Send(M.VOTE_REQUEST, fanout), Send(M.VOTE_REPLY, _REPLIES)]
-        if op == READ:
-            return [votes, [Send(M.BLOCK_TRANSFER, Count(stale=stale))]]
-        if op == WRITE:
-            update = _ONCE if multicast else _REPLIES
-            return [votes, [Send(M.WRITE_UPDATE, update)]]
-        return []
+    return SCHEMES[scheme].script(op, n, mode, stale, vector)
+
+
+def _fanout(mode: AddressingMode) -> Count:
+    """One send to every other site: a multicast, or ``n - 1`` unicasts."""
+    if mode is AddressingMode.MULTICAST:
+        return _ONCE
+    return Count(sites=1, fixed=-1)
+
+
+def voting_script(
+    op: str, n: int, mode: AddressingMode, stale: float, vector: float
+) -> Script:
+    """Figures 3-4: collect votes; a stale read pulls one block, a write
+    pushes the update to the voters.  Repair is lazy: it sends nothing."""
+    votes = [Send(M.VOTE_REQUEST, _fanout(mode)), Send(M.VOTE_REPLY, _REPLIES)]
     if op == READ:
-        return []  # every available copy is current: read locally
+        return [votes, [Send(M.BLOCK_TRANSFER, Count(stale=stale))]]
     if op == WRITE:
-        update = Send(M.WRITE_UPDATE, fanout)
-        if scheme is SchemeName.AVAILABLE_COPY:
-            return [[update, Send(M.WRITE_ACK, _REPLIES)]]
-        return [[update]]  # naive: unacknowledged
-    # Figures 5-6: probe for a repair source, then one vector exchange.
+        update = _ONCE if mode is AddressingMode.MULTICAST else _REPLIES
+        return [votes, [Send(M.WRITE_UPDATE, update)]]
+    return []
+
+
+def available_copy_script(
+    op: str, n: int, mode: AddressingMode, stale: float, vector: float,
+    acked: bool = True,
+) -> Script:
+    """An available copy is current, so a read is local; a write goes to
+    every available copy, acknowledged unless the scheme is naive; a
+    recovery (Figures 5-6) probes for a repair source, then exchanges
+    version vectors."""
+    if op == READ:
+        return []
+    if op == WRITE:
+        update = Send(M.WRITE_UPDATE, _fanout(mode))
+        return [[update, Send(M.WRITE_ACK, _REPLIES)] if acked else [update]]
     return [
         [
-            Send(M.RECOVERY_PROBE, fanout),
+            Send(M.RECOVERY_PROBE, _fanout(mode)),
             Send(M.RECOVERY_PROBE_REPLY, _REPLIES, {"was_available": n}),
         ],
         [
@@ -189,6 +213,34 @@ class OperationCosts:
         return self.write + reads_per_write * self.read
 
 
+C = TypeVar("C", bound=OperationCosts)
+
+
+def script_costs(
+    costs: Type[C], scheme: SchemeName, n: int, rho: float,
+    mode: AddressingMode, price: Callable[[Script, int, float], float],
+    read_stale: float, recovery_stale: float = 0.0, vector: float = 0.0,
+) -> C:
+    """The scheme's read, write and recovery scripts, each priced by
+    ``price(script, n, U)``: the one projection that both the
+    transmission and the byte model are."""
+    from ..schemes import SCHEMES  # see message_script
+
+    check(n, read_stale)
+    record = SCHEMES[scheme]
+    u = record.participation(n, rho)
+
+    def cost(op: str, stale: float) -> float:
+        return price(record.script(op, n, mode, stale, vector), n, u)
+
+    return costs(
+        scheme=scheme, mode=mode, num_sites=n, rho=rho,
+        write=cost(WRITE, 0.0),
+        read=cost(READ, read_stale),
+        recovery=cost(RECOVERY, recovery_stale),
+    )
+
+
 def traffic_model(
     scheme: SchemeName,
     n: int,
@@ -202,22 +254,9 @@ def traffic_model(
     local copy out of date and needs the extra block transfer; the
     paper's figures use the lower bound (0).
     """
-    check(n, stale_read_fraction)
-    u = participation(scheme, n, rho)
-
-    def cost(op: str, stale: float = 0.0) -> float:
-        return script_transmissions(
-            message_script(scheme, op, n, mode, stale), n, u
-        )
-
-    return OperationCosts(
-        scheme=scheme,
-        mode=mode,
-        num_sites=n,
-        rho=rho,
-        write=cost(WRITE),
-        read=cost(READ, stale_read_fraction),
-        recovery=cost(RECOVERY),
+    return script_costs(
+        OperationCosts, scheme, n, rho, mode, script_transmissions,
+        stale_read_fraction,
     )
 
 

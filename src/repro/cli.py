@@ -188,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fresh sites available to join the group (default 2)",
     )
     chaos.add_argument(
-        "--no-fencing", action="store_true",
-        help="disable epoch fencing of in-flight writes (ablation: "
-             "exposes the quorum-drift hazard)",
-    )
-    chaos.add_argument(
         "--policy", metavar="RF:R:W", default=None,
         help="run under an (RF, R, W) quorum policy (e.g. 5:3:3); "
              "sloppy combinations (R+W<=RF or 2W<=RF) are accepted and "
@@ -569,7 +564,6 @@ def _cmd_chaos(args, out) -> int:
             fault_rate=args.fault_rate,
             reconfigure_rate=reconfigure_rate,
             spare_sites=args.spare_sites,
-            fencing=not args.no_fencing,
             retry=retry,
             policy=policy,
         )

@@ -330,6 +330,13 @@ class AvailableCopyBase(ReplicationProtocol):
 
     # -- dynamic membership ---------------------------------------------------
 
+    def admit_joiner(self, site: 'Site', new_view: 'View') -> None:
+        """Adopt a joiner and hold it COMATOSE until it is caught up: an
+        available copy must hold every write, which a fresh site by
+        definition does not yet."""
+        super().admit_joiner(site, new_view)
+        site.set_state(SiteState.COMATOSE)
+
     def finish_join(self, source: 'Site', joiner: 'Site') -> None:
         """Flip a caught-up joiner AVAILABLE.
 
@@ -378,6 +385,8 @@ class AvailableCopyBase(ReplicationProtocol):
 class AvailableCopyProtocol(AvailableCopyBase):
     """The available-copy scheme with was-available bookkeeping (Figure 5)."""
 
+    scheme = SchemeName.AVAILABLE_COPY
+
     def __init__(
         self,
         sites: Sequence['Site'],
@@ -390,10 +399,6 @@ class AvailableCopyProtocol(AvailableCopyBase):
         everyone = set(self.site_ids)
         for site in self.sites:
             site.set_was_available(everyone)
-
-    @property
-    def scheme(self) -> SchemeName:
-        return SchemeName.AVAILABLE_COPY
 
     @property
     def track_failures(self) -> bool:
@@ -472,7 +477,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
         def apply(node, _payload):
             if node.state is not SiteState.AVAILABLE:
                 return NO_REPLY
-            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+            if node.get_epoch() > epoch_tag:
                 fenced.append(node.site_id)
                 return NO_REPLY
             for index, blob, version in updates:
@@ -499,6 +504,14 @@ class AvailableCopyProtocol(AvailableCopyBase):
         site.set_was_available(recipients)
 
     # -- dynamic membership ---------------------------------------------------
+
+    def admit_joiner(self, site: 'Site', new_view: 'View') -> None:
+        """The joiner was available together with itself and every copy
+        available now."""
+        super().admit_joiner(site, new_view)
+        site.set_was_available(
+            {site.site_id} | {s.site_id for s in self.available_sites()}
+        )
 
     def _rejoined(self, source: 'Site', target: 'Site') -> None:
         if self._track_failures:

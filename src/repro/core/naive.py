@@ -38,6 +38,8 @@ __all__ = ["NaiveAvailableCopyProtocol"]
 class NaiveAvailableCopyProtocol(AvailableCopyBase):
     """Available copy without failure bookkeeping (Figure 6)."""
 
+    scheme = SchemeName.NAIVE_AVAILABLE_COPY
+
     def __init__(
         self,
         sites: Sequence['Site'],
@@ -51,9 +53,10 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
             # closure machinery behave uniformly across schemes.
             site.set_was_available(everyone)
 
-    @property
-    def scheme(self) -> SchemeName:
-        return SchemeName.NAIVE_AVAILABLE_COPY
+    def admit_joiner(self, site: 'Site', new_view: 'View') -> None:
+        """W_s is fixed at S: the joiner's is the successor view."""
+        super().admit_joiner(site, new_view)
+        site.set_was_available(set(new_view.members))
 
     # -- write: one unacknowledged broadcast --------------------------------
 
@@ -117,7 +120,7 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         def apply(node, _payload):
             if node.state is not SiteState.AVAILABLE:
                 return
-            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+            if node.get_epoch() > epoch_tag:
                 fenced.append(node.site_id)
                 return
             for index, blob, version in updates:

@@ -79,6 +79,9 @@ def updates_of(payload: Any) -> Sequence[Update]:
 class ReplicationProtocol(abc.ABC):
     """Base class for block-level consistency-control protocols."""
 
+    #: Which of the paper's three schemes this class implements.
+    scheme: SchemeName
+
     def __init__(self, sites: Sequence['Site'], network: Network) -> None:
         if not sites:
             raise ValueError("a replica group needs at least one site")
@@ -132,10 +135,6 @@ class ReplicationProtocol(abc.ABC):
         self._view: Optional['View'] = None
         #: The successor view while a view change is in flight.
         self._pending_view: Optional['View'] = None
-        #: Whether handlers reject in-flight writes tagged with an older
-        #: epoch than the one they have adopted (the safe default; the
-        #: quorum-drift tutorial disables it to demonstrate the hazard).
-        self.epoch_fencing = True
         #: Sites adopted mid-view-change that are not yet caught up
         #: (available-copy schemes park them COMATOSE while the state
         #: transfer runs; invariants exempt them).
@@ -272,11 +271,6 @@ class ReplicationProtocol(abc.ABC):
         return site
 
     # -- the protocol interface ------------------------------------------------
-
-    @property
-    @abc.abstractmethod
-    def scheme(self) -> SchemeName:
-        """Which of the paper's three schemes this object implements."""
 
     @abc.abstractmethod
     def read(self, origin: SiteId, block: BlockIndex) -> bytes:
@@ -473,6 +467,15 @@ class ReplicationProtocol(abc.ABC):
         site.set_epoch(self.current_epoch())
         self._configuration_changed()
 
+    def admit_joiner(self, site: 'Site', new_view: 'View') -> None:
+        """Adopt ``site`` into the window toward ``new_view`` as a joiner.
+
+        A voting joiner takes part in quorums at once: the membership
+        manager's sweep decides when enough members are current.
+        """
+        self.adopt_site(site)
+        self.joining.add(site.site_id)
+
     def expel_site(self, site_id: SiteId) -> None:
         """Remove a member from the group and detach it from the network."""
         if site_id not in self._sites:
@@ -506,11 +509,11 @@ class ReplicationProtocol(abc.ABC):
         """Raise unless the fan-out of ``updates`` from ``site`` stands.
 
         Every write handler fences, view or no view: it refuses an
-        update (and adds itself to ``fenced``) when
-        :attr:`epoch_fencing` is on and the node has durably adopted a
-        newer epoch than ``epoch_tag`` -- i.e. a view change opened
-        between the operation's start and this delivery.  A static
-        group lives in epoch 0 throughout, so nothing is fenced there.
+        update (and adds itself to ``fenced``) when the node has durably
+        adopted a newer epoch than ``epoch_tag`` -- i.e. a view change
+        opened between the operation's start and this delivery.  A
+        static group lives in epoch 0 throughout, so nothing is fenced
+        there.
 
         A write is *torn* -- some members applied it, the group as a
         whole did not -- when the origin crashed mid-fan-out (fault

@@ -174,6 +174,8 @@ class VotingProtocol(ReplicationProtocol):
         :class:`~repro.core.policy.QuorumPolicy`).
     """
 
+    scheme = SchemeName.VOTING
+
     def __init__(
         self,
         sites: Sequence['Site'],
@@ -246,10 +248,6 @@ class VotingProtocol(ReplicationProtocol):
             self._decider = QuorumDecider.for_spec(self._order, self._spec)
 
     # -- metadata ---------------------------------------------------------
-
-    @property
-    def scheme(self) -> SchemeName:
-        return SchemeName.VOTING
 
     @property
     def spec(self) -> QuorumSpec:
@@ -668,7 +666,7 @@ class VotingProtocol(ReplicationProtocol):
         fenced: List[SiteId] = []
 
         def apply(node, _payload):
-            if self.epoch_fencing and node.get_epoch() > epoch_tag:
+            if node.get_epoch() > epoch_tag:
                 fenced.append(node.site_id)
                 return
             for index, blob, version in updates:

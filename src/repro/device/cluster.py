@@ -20,16 +20,12 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from ..core.available_copy import AvailableCopyProtocol
-from ..core.naive import NaiveAvailableCopyProtocol
-from ..core.protocol import ReplicationProtocol
-from ..core.quorum import QuorumSpec
-from ..core.voting import VotingProtocol
 from ..net.network import Network
 from ..net.sizes import SizeModel
 from ..net.traffic import TrafficMeter
+from ..schemes import build_group
 from ..sim.engine import Simulator
 from ..sim.failures import FailureRepairProcess, RepairDistribution
 from ..sim.rng import RandomStreams
@@ -37,7 +33,6 @@ from ..sim.stats import TimeWeightedStat
 from ..types import AddressingMode, SchemeName, SiteId
 from .block import DEFAULT_BLOCK_SIZE
 from .reliable import ReliableDevice, RetryPolicy
-from .site import Site
 
 __all__ = ["ClusterConfig", "ReplicatedCluster"]
 
@@ -93,8 +88,13 @@ class ReplicatedCluster:
             meter=self.meter,
             size_model=SizeModel(block_bytes=config.block_size),
         )
-        self.sites = self._build_sites(config)
-        self.protocol = self._build_protocol(config)
+        self.protocol = build_group(
+            config.scheme, config.num_sites, config.num_blocks,
+            config.block_size, self.network,
+            track_failures=config.track_failures,
+            eager_repair=config.eager_repair,
+        )
+        self.sites = self.protocol.sites
         self.failures = FailureRepairProcess(
             sim=self.sim,
             site_ids=[s.site_id for s in self.sites],
@@ -114,43 +114,6 @@ class ReplicatedCluster:
         self.failures.on_failure(self._sample_availability)
         self.failures.on_repair(self._sample_availability)
         self._started = False
-
-    # -- construction helpers --------------------------------------------------
-
-    @staticmethod
-    def _build_sites(config: ClusterConfig) -> List[Site]:
-        if config.scheme is SchemeName.VOTING:
-            spec = QuorumSpec.majority(config.num_sites)
-            weights = spec.weights
-        else:
-            weights = (1.0,) * config.num_sites
-        return [
-            Site(
-                site_id=i,
-                num_blocks=config.num_blocks,
-                block_size=config.block_size,
-                weight=weights[i],
-            )
-            for i in range(config.num_sites)
-        ]
-
-    def _build_protocol(self, config: ClusterConfig) -> ReplicationProtocol:
-        if config.scheme is SchemeName.VOTING:
-            return VotingProtocol(
-                self.sites,
-                self.network,
-                spec=QuorumSpec.majority(config.num_sites),
-                eager_repair=config.eager_repair,
-            )
-        if config.scheme is SchemeName.AVAILABLE_COPY:
-            return AvailableCopyProtocol(
-                self.sites,
-                self.network,
-                track_failures=config.track_failures,
-            )
-        if config.scheme is SchemeName.NAIVE_AVAILABLE_COPY:
-            return NaiveAvailableCopyProtocol(self.sites, self.network)
-        raise ValueError(f"unknown scheme {config.scheme!r}")
 
     # -- simulation control ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from .figures import (
 )
 from .batching_study import batching_study
 from .byte_study import byte_traffic_study
-from .witness_study import witness_study, build_witness_group, simulate_witness_group
+from .witness_study import witness_study, simulate_witness_group
 from .heterogeneity_study import heterogeneity_study, simulate_heterogeneous
 from .membership_study import membership_study
 from .partitions import partition_demo, run_partition_scenario
@@ -66,7 +66,6 @@ __all__ = [
     "membership_study",
     "simulate_heterogeneous",
     "run_partition_scenario",
-    "build_witness_group",
     "simulate_witness_group",
     "simulated_mttf",
     "simulated_mttf_estimate",

@@ -23,13 +23,9 @@ from ..analysis.heterogeneous import (
     heterogeneous_naive_availability,
     heterogeneous_voting_availability,
 )
-from ..core.available_copy import AvailableCopyProtocol
-from ..core.naive import NaiveAvailableCopyProtocol
-from ..core.quorum import QuorumSpec
-from ..core.voting import VotingProtocol
-from ..device.site import Site
 from ..exec import ParallelRunner, Task
 from ..net.network import Network
+from ..schemes import build_group
 from ..sim.engine import Simulator
 from ..sim.failures import FailureRepairProcess
 from ..sim.rng import RandomStreams
@@ -56,17 +52,7 @@ def simulate_heterogeneous(
     """Simulated availability with per-site failure rates (mu = 1)."""
     n = len(rhos)
     sim = Simulator()
-    network = Network()
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(n)
-        sites = [Site(i, 4, 16, weight=spec.weight_of(i)) for i in range(n)]
-        protocol = VotingProtocol(sites, network, spec=spec)
-    elif scheme is SchemeName.AVAILABLE_COPY:
-        sites = [Site(i, 4, 16) for i in range(n)]
-        protocol = AvailableCopyProtocol(sites, network)
-    else:
-        sites = [Site(i, 4, 16) for i in range(n)]
-        protocol = NaiveAvailableCopyProtocol(sites, network)
+    protocol = build_group(scheme, n, 4, 16, Network())
     rates: Dict[int, float] = {i: float(rhos[i]) for i in range(n)}
     process = FailureRepairProcess(
         sim, list(range(n)), failure_rate=rates, repair_rate=1.0,

@@ -19,15 +19,11 @@ The divergence detector is the protocol's own
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from ..core.available_copy import AvailableCopyProtocol
-from ..core.naive import NaiveAvailableCopyProtocol
-from ..core.quorum import QuorumSpec
-from ..core.voting import VotingProtocol
-from ..device.site import Site
 from ..errors import DeviceUnavailableError
 from ..net.network import Network
+from ..schemes import build_group
 from ..types import SchemeName
 from .report import ExperimentReport, Table
 
@@ -38,24 +34,10 @@ _BLOCK_SIZE = 32
 _NUM_BLOCKS = 4
 
 
-def _build(scheme: SchemeName) -> Tuple[object, Network]:
-    network = Network()
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(3)
-        sites = [
-            Site(i, _NUM_BLOCKS, _BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(3)
-        ]
-        return VotingProtocol(sites, network, spec=spec), network
-    sites = [Site(i, _NUM_BLOCKS, _BLOCK_SIZE) for i in range(3)]
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return AvailableCopyProtocol(sites, network), network
-    return NaiveAvailableCopyProtocol(sites, network), network
-
-
 def run_partition_scenario(scheme: SchemeName) -> dict:
     """Run the split-brain scenario; returns what happened."""
-    protocol, network = _build(scheme)
+    network = Network()
+    protocol = build_group(scheme, 3, _NUM_BLOCKS, _BLOCK_SIZE, network)
 
     def fill(value: int) -> bytes:
         return bytes([value]) * _BLOCK_SIZE

@@ -12,43 +12,18 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..analysis.witnesses import witness_voting_availability
-from ..core.quorum import QuorumSpec
 from ..errors import DeviceError
-from ..core.voting import VotingProtocol
-from ..device.site import Site
 from ..net.network import Network
-from ..net.traffic import TrafficMeter
+from ..schemes import build_group
 from ..sim.engine import Simulator
 from ..sim.failures import FailureRepairProcess
 from ..sim.rng import RandomStreams
 from ..sim.stats import TimeWeightedStat
+from ..types import SchemeName
 from ..workload.generator import WorkloadGenerator, WorkloadSpec
 from .report import ExperimentReport, Table
 
-__all__ = ["witness_study", "build_witness_group", "simulate_witness_group"]
-
-
-def build_witness_group(
-    data_copies: int,
-    witnesses: int,
-    num_blocks: int = 16,
-    block_size: int = 64,
-) -> Tuple[VotingProtocol, Network]:
-    """A voting group with the last ``witnesses`` sites vote-only."""
-    n = data_copies + witnesses
-    spec = QuorumSpec.majority(n)
-    sites = [
-        Site(
-            i,
-            num_blocks,
-            block_size,
-            weight=spec.weight_of(i),
-            is_witness=i >= data_copies,
-        )
-        for i in range(n)
-    ]
-    network = Network(meter=TrafficMeter())
-    return VotingProtocol(sites, network, spec=spec), network
+__all__ = ["witness_study", "simulate_witness_group"]
 
 
 def simulate_witness_group(
@@ -65,7 +40,10 @@ def simulate_witness_group(
     assumption behind the analytic formula); availability is the
     time-weighted fraction during which the protocol can serve reads.
     """
-    protocol, _network = build_witness_group(data_copies, witnesses)
+    protocol = build_group(
+        SchemeName.VOTING, data_copies + witnesses, 16, 64, Network(),
+        witnesses=witnesses,
+    )
     sim = Simulator()
     streams = RandomStreams(seed=seed)
     failures = FailureRepairProcess(

@@ -17,6 +17,8 @@ RL008     no mutation of ``View`` membership fields outside
 RL009     no ``Dict[SiteId, ...]`` construction in ``repro.core``
           function bodies and no ``broadcast_query`` call in
           ``repro.core`` (hot paths use the pooled ``QuorumRound``)
+RL010     no comparison with a ``SchemeName`` member outside
+          ``repro/schemes.py`` (read the scheme's record instead)
 ========  ==============================================================
 
 RL003 (every message category priced) is retired: each category now
@@ -654,3 +656,54 @@ class SiteKeyedReplyDict(Rule):
                     "suppress with # repro: noqa[RL009] if this path "
                     "is cold",
                 )
+
+
+# ---------------------------------------------------------------------------
+# RL010 -- a scheme is read from its record, not compared by name
+# ---------------------------------------------------------------------------
+
+_IDENTITY_OPS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
+
+
+@register
+class SchemeNameComparison(Rule):
+    """``is`` / ``is not`` / ``==`` / ``!=`` against a ``SchemeName``
+    member outside ``repro/schemes.py``.
+
+    Each scheme -- its protocol class, site weights, availability,
+    participation, Markov chain, message script and membership
+    catch-up -- is declared once, as a record in :mod:`repro.schemes`.
+    A comparison with a scheme name elsewhere restates that set of
+    three as an ``if`` chain, which is how the group builders and the
+    analysis dispatchers had drifted apart, and it leaves a place that
+    a new scheme must find and edit.  Read ``SCHEMES[name]`` instead.
+    A comparison that must stay (a module whose classes are swapped by
+    name from outside) is suppressed with ``# repro: noqa[RL010]`` and
+    the reason in a nearby comment.
+    """
+
+    code = "RL010"
+    name = "scheme-name-comparison"
+    description = (
+        "comparison with a SchemeName member outside repro/schemes.py; "
+        "read the scheme's record (repro.schemes.SCHEMES) instead"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        if ctx.segments[-1] == "schemes.py":
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Compare) or not any(
+                isinstance(op, _IDENTITY_OPS) for op in node.ops
+            ):
+                continue
+            for operand in (node.left, *node.comparators):
+                chain = attribute_chain(operand) or ()
+                if chain[-2:-1] == ("SchemeName",):
+                    yield self._diag(
+                        ctx, node,
+                        f"comparison with SchemeName.{chain[-1]} outside "
+                        "repro/schemes.py; read the scheme's record "
+                        "(SCHEMES[name]) instead of branching on its name",
+                    )
+                    break

@@ -48,7 +48,8 @@ if TYPE_CHECKING:
 from ..core.protocol import ReplicationProtocol
 from ..errors import CorruptBlockError, MembershipError
 from ..net.message import MessageCategory
-from ..types import BlockIndex, SchemeName, SiteId, SiteState
+from ..schemes import SCHEMES
+from ..types import BlockIndex, SiteId, SiteState
 from .view import View
 
 __all__ = ["MembershipManager"]
@@ -64,11 +65,6 @@ class MembershipManager:
         manager installs the epoch-0 view mirroring its current
         membership; voting groups must be plain majority configurations
         (no witnesses, thresholds at half the total weight).
-    fencing:
-        Whether members reject in-flight writes tagged with an older
-        epoch.  Disabling this reproduces the classic quorum-drift
-        hazard -- it exists for ablations and the tutorial, never for
-        production use.
     catchup_blocks:
         Blocks moved per :meth:`step` chunk.  Smaller values interleave
         catch-up more finely with foreground traffic; larger values
@@ -81,7 +77,6 @@ class MembershipManager:
     def __init__(
         self,
         protocol: ReplicationProtocol,
-        fencing: bool = True,
         catchup_blocks: int = 4,
         recorder: Optional['HistoryRecorder'] = None,
     ) -> None:
@@ -90,7 +85,7 @@ class MembershipManager:
         self._protocol = protocol
         self._recorder = recorder
         self._catchup_blocks = catchup_blocks
-        protocol.epoch_fencing = fencing
+        self._sweep = SCHEMES[protocol.scheme].sweep
         view = View.from_protocol(protocol)
         protocol.install_view(view)
         #: Every committed view, epoch order (epoch 0 included).
@@ -133,10 +128,6 @@ class MembershipManager:
         """Committed view changes so far."""
         return sum(self.reconfigurations.values())
 
-    @property
-    def fencing(self) -> bool:
-        return self._protocol.epoch_fencing
-
     # -- stage 1: open a transition window ---------------------------------
 
     def open_add(self, site: 'Site') -> View:
@@ -171,20 +162,7 @@ class MembershipManager:
         before = protocol.meter.total
         protocol.begin_view_change(new_view)
         if joiner is not None:
-            protocol.adopt_site(joiner)
-            protocol.joining.add(joiner.site_id)
-            if protocol.scheme is not SchemeName.VOTING:
-                # Available-copy joiners stay COMATOSE until caught up:
-                # an available copy must hold every write, which a fresh
-                # site by definition does not yet.
-                joiner.set_state(SiteState.COMATOSE)
-                if protocol.scheme is SchemeName.AVAILABLE_COPY:
-                    joiner.set_was_available(
-                        {joiner.site_id}
-                        | {s.site_id for s in protocol.available_sites()}
-                    )
-                else:
-                    joiner.set_was_available(set(new_view.members))
+            protocol.admit_joiner(joiner, new_view)
             self._joiner_id = joiner.site_id
         else:
             self._joiner_id = None
@@ -213,10 +191,10 @@ class MembershipManager:
         if not protocol.in_view_change:
             return False
         before = protocol.meter.total
-        if protocol.scheme is SchemeName.VOTING:
-            self._step_voting()
+        if self._sweep:
+            self._step_sweep()
         else:
-            self._step_available_copy()
+            self._step_transfer()
         committed = self._maybe_commit()
         spent = protocol.meter.total - before
         protocol.meter.messages_for("membership").add(spent)
@@ -246,7 +224,7 @@ class MembershipManager:
 
     # -- voting: chunked sweep toward synced status ------------------------
 
-    def _step_voting(self) -> None:
+    def _step_sweep(self) -> None:
         protocol = self._protocol
         old = self.view
         new = protocol.pending_view
@@ -374,7 +352,7 @@ class MembershipManager:
 
     # -- available copy: state-transfer chunks for the joiner ---------------
 
-    def _step_available_copy(self) -> None:
+    def _step_transfer(self) -> None:
         protocol = self._protocol
         joiner_id = self._joiner_id
         if joiner_id is None:
@@ -437,7 +415,7 @@ class MembershipManager:
         new = protocol.pending_view
         if new is None:
             return False
-        if protocol.scheme is SchemeName.VOTING:
+        if self._sweep:
             valid = {
                 s for s, snap in self._synced.items()
                 if s in new.members

@@ -6,10 +6,10 @@ from repro.analysis import (
     access_cost,
     byte_access_cost,
     byte_traffic_model,
-    participation,
 )
 from repro.errors import AnalysisError
 from repro.net import SizeModel
+from repro.schemes import SCHEMES
 from repro.types import AddressingMode, SchemeName
 
 N, RHO = 5, 0.05
@@ -26,7 +26,7 @@ def test_naive_write_is_exactly_one_block_message():
 
 def test_voting_write_bytes_hand_computed():
     sizes = SizeModel()
-    u = participation(SchemeName.VOTING, N, RHO)
+    u = SCHEMES[SchemeName.VOTING].participation(N, RHO)
     model = byte_traffic_model(SchemeName.VOTING, N, RHO, size_model=sizes)
     expected = (32 + 8) + (u - 1) * (32 + 8) + (32 + 8 + 512)
     assert model.write == pytest.approx(expected)
@@ -34,7 +34,7 @@ def test_voting_write_bytes_hand_computed():
 
 def test_available_copy_ack_bytes():
     sizes = SizeModel()
-    u = participation(SchemeName.AVAILABLE_COPY, N, RHO)
+    u = SCHEMES[SchemeName.AVAILABLE_COPY].participation(N, RHO)
     model = byte_traffic_model(
         SchemeName.AVAILABLE_COPY, N, RHO, size_model=sizes
     )

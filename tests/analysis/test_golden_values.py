@@ -12,8 +12,8 @@ import pytest
 from repro.analysis import (
     access_cost,
     available_copy_availability,
+    available_copy_participation,
     naive_availability,
-    participation,
     scheme_mean_outage,
     scheme_mttf,
     serial_availability,
@@ -84,9 +84,9 @@ class TestParticipationGoldens:
         )
 
     def test_available_copy(self):
-        assert participation(
-            SchemeName.AVAILABLE_COPY, 4, 0.05
-        ) == pytest.approx(3.809571450520279, abs=1e-6)
+        assert available_copy_participation(4, 0.05) == pytest.approx(
+            3.809571450520279, abs=1e-6
+        )
 
 
 class TestTrafficGoldens:

@@ -5,13 +5,12 @@ import pytest
 from repro.analysis import (
     available_copy_participation,
     naive_participation,
-    participation,
     participation_asymptote,
     voting_participation,
     voting_participation_from_chain,
 )
 from repro.errors import AnalysisError
-from repro.types import SchemeName
+from repro.schemes import SCHEMES
 
 
 def test_voting_closed_form_small_case():
@@ -58,16 +57,16 @@ def test_asymptote_n_times_one_minus_rho():
 
 
 def test_participation_bounded_by_n_and_positive():
-    for scheme in SchemeName:
+    for record in SCHEMES.values():
         for n in (1, 2, 4):
             for rho in (0.05, 0.3, 1.0):
-                u = participation(scheme, n, rho)
+                u = record.participation(n, rho)
                 assert 0.0 < u <= n
 
 
 def test_participation_decreasing_in_rho():
-    for scheme in SchemeName:
-        values = [participation(scheme, 4, rho) for rho in (0.01, 0.1, 0.5)]
+    for record in SCHEMES.values():
+        values = [record.participation(4, rho) for rho in (0.01, 0.1, 0.5)]
         assert values == sorted(values, reverse=True)
 
 

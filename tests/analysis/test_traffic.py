@@ -5,11 +5,11 @@ import pytest
 from repro.analysis import (
     OUSTERHOUT_READ_WRITE_RATIO,
     access_cost,
-    participation,
     traffic_model,
 )
 from repro.analysis.traffic import Count, message_script
 from repro.errors import AnalysisError
+from repro.schemes import SCHEMES
 from repro.types import AddressingMode, SchemeName
 
 N = 5
@@ -17,7 +17,7 @@ RHO = 0.05
 
 
 def u(scheme):
-    return participation(scheme, N, RHO)
+    return SCHEMES[scheme].participation(N, RHO)
 
 
 class TestMulticastFormulas:

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core import QuorumSpec, VotingProtocol
-from repro.core.available_copy import AvailableCopyProtocol
-from repro.core.naive import NaiveAvailableCopyProtocol
-from repro.device import Site
 from repro.errors import CorruptBlockError, QuorumNotReachedError
 from repro.faults import FaultInjector
 from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName, SiteState
 
 BLOCK_SIZE = 16
@@ -16,17 +13,7 @@ NUM_BLOCKS = 8
 
 
 def make_group(scheme, n=3):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(n)
-        sites = [
-            Site(i, NUM_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(n)
-        ]
-        return VotingProtocol(sites, Network(), spec=spec)
-    sites = [Site(i, NUM_BLOCKS, BLOCK_SIZE) for i in range(n)]
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return AvailableCopyProtocol(sites, Network())
-    return NaiveAvailableCopyProtocol(sites, Network())
+    return build_group(scheme, n, NUM_BLOCKS, BLOCK_SIZE, Network())
 
 
 def fill(byte):

@@ -7,9 +7,19 @@ from repro.errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
-from repro.experiments import build_witness_group
+from repro.net import Network
+from repro.schemes import build_group
+from repro.types import SchemeName
 
 BLOCK_SIZE = 64
+
+
+def witness_group(data_copies, witnesses):
+    """A voting group whose last ``witnesses`` sites are vote-only."""
+    return build_group(
+        SchemeName.VOTING, data_copies + witnesses, 16, BLOCK_SIZE,
+        Network(), witnesses=witnesses,
+    )
 
 
 def fill(byte):
@@ -17,13 +27,13 @@ def fill(byte):
 
 
 def test_witness_group_serves_reads_and_writes():
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.write(0, 0, fill(1))
     assert protocol.read(1, 0) == fill(1)
 
 
 def test_witness_stores_versions_but_no_data():
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.write(0, 3, fill(9))
     witness = protocol.site(2)
     assert witness.is_witness
@@ -34,7 +44,7 @@ def test_witness_stores_versions_but_no_data():
 def test_witness_vote_sustains_the_quorum():
     """2 copies + 1 witness survives one data-copy failure, like 3
     copies -- the configuration's whole point."""
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.write(0, 0, fill(1))
     protocol.on_site_failed(1)  # one data copy down
     protocol.write(0, 0, fill(2))  # copy 0 + witness = quorum
@@ -50,7 +60,7 @@ def test_witness_vote_sustains_the_quorum():
 
 
 def test_witness_cannot_serve_clients():
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     with pytest.raises(SiteDownError):
         protocol.read(2, 0)
     with pytest.raises(SiteDownError):
@@ -58,7 +68,7 @@ def test_witness_cannot_serve_clients():
 
 
 def test_read_fails_when_only_witness_attests_current_version():
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.write(0, 0, fill(1))
     protocol.on_site_failed(1)
     protocol.write(0, 0, fill(2))  # copy 1 misses v2
@@ -70,7 +80,7 @@ def test_read_fails_when_only_witness_attests_current_version():
 
 def test_full_block_write_succeeds_without_current_copy():
     """The block-level benefit: a write needs no current data copy."""
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.write(0, 0, fill(1))
     protocol.on_site_failed(1)
     protocol.write(0, 0, fill(2))
@@ -87,7 +97,7 @@ def test_full_block_write_succeeds_without_current_copy():
 
 
 def test_availability_requires_a_data_copy():
-    protocol, _net = build_witness_group(data_copies=1, witnesses=2)
+    protocol = witness_group(data_copies=1, witnesses=2)
     assert protocol.is_available()
     protocol.on_site_failed(0)  # the only data copy
     # witnesses still form a vote quorum, but nothing can be read
@@ -99,7 +109,6 @@ def test_availability_requires_a_data_copy():
 def test_all_witness_group_rejected():
     from repro.core import QuorumSpec, VotingProtocol
     from repro.device import Site
-    from repro.net import Network
 
     sites = [
         Site(i, 8, BLOCK_SIZE, weight=w, is_witness=True)
@@ -110,7 +119,7 @@ def test_all_witness_group_rejected():
 
 
 def test_quorum_still_enforced_with_witnesses():
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = witness_group(data_copies=2, witnesses=1)
     protocol.on_site_failed(1)
     protocol.on_site_failed(2)
     # copy 0 alone: weight 1.5 of 3.5, no quorum
@@ -121,7 +130,7 @@ def test_quorum_still_enforced_with_witnesses():
 def test_witness_write_traffic_unchanged():
     """Witnesses receive the same broadcast; transmission counts match
     the all-copies formula."""
-    protocol, net = build_witness_group(data_copies=2, witnesses=1)
-    before = net.meter.total
+    protocol = witness_group(data_copies=2, witnesses=1)
+    before = protocol.network.meter.total
     protocol.write(0, 0, fill(1))
-    assert net.meter.total - before == 4  # 1 + (U-1=2) + 1 update
+    assert protocol.network.meter.total - before == 4  # 1 + (U-1=2) + 1 update

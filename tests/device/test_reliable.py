@@ -7,6 +7,8 @@ from repro.errors import (
     QuorumNotReachedError,
     SiteDownError,
 )
+from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName
 
 from ..conftest import block_of, make_cluster
@@ -96,9 +98,10 @@ def test_available_copy_serves_with_single_survivor():
 def test_failover_skips_witness_sites():
     """A witness cannot serve clients; failover must step over it."""
     from repro.device import ReliableDevice
-    from repro.experiments import build_witness_group
 
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = build_group(
+        SchemeName.VOTING, 3, 16, 64, Network(), witnesses=1
+    )
     device = ReliableDevice(protocol, origin=0, failover=True)
     data = b"\x21" * device.block_size
     device.write_block(0, data)
@@ -111,11 +114,10 @@ def test_failover_skips_witness_sites():
 
 def test_filesystem_over_witness_group():
     from repro.device import ReliableDevice
-    from repro.experiments import build_witness_group
     from repro.fs import FileSystem
 
-    protocol, _net = build_witness_group(
-        data_copies=2, witnesses=1, num_blocks=256, block_size=512
+    protocol = build_group(
+        SchemeName.VOTING, 3, 256, 512, Network(), witnesses=1
     )
     fs = FileSystem.format(ReliableDevice(protocol))
     fs.create("/f")

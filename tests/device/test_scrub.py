@@ -4,6 +4,8 @@ import pytest
 
 from repro.device.scrub import audit_replicas, scrub_replicas
 from repro.errors import NoAvailableCopyError
+from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName
 
 from ..conftest import block_of, make_cluster
@@ -85,9 +87,9 @@ def test_available_copy_groups_always_audit_clean_under_churn(scheme):
 
 
 def test_scrub_with_witnesses_ignores_them():
-    from repro.experiments import build_witness_group
-
-    protocol, _net = build_witness_group(data_copies=2, witnesses=1)
+    protocol = build_group(
+        SchemeName.VOTING, 3, 16, 64, Network(), witnesses=1
+    )
     protocol.write(0, 0, b"\x01" * protocol.block_size)
     report = audit_replicas(protocol)
     assert report.clean  # the witness's missing data is not staleness

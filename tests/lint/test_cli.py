@@ -43,7 +43,7 @@ def test_exit_zero_on_clean_tree(capsys):
 def test_exit_one_on_bad_tree(capsys):
     assert main([str(FIXTURES / "bad")]) == 1
     out = capsys.readouterr().out
-    assert "found 11 problem(s)" in out
+    assert "found 12 problem(s)" in out
 
 
 def test_exit_two_on_missing_path(capsys):
@@ -52,14 +52,14 @@ def test_exit_two_on_missing_path(capsys):
 
 
 def test_list_rules_names_all_nine(capsys):
-    """Nine rules were written; RL003 is retired, so eight remain."""
+    """Ten rules were written; RL003 is retired, so nine remain."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("RL001", "RL002", "RL004", "RL005", "RL006",
-                 "RL007", "RL008", "RL009"):
+                 "RL007", "RL008", "RL009", "RL010"):
         assert code in out
     assert "RL003" not in out
-    assert len(RULES) == 8
+    assert len(RULES) == 9
 
 
 def test_lint_help_names_every_registered_rule():
@@ -77,10 +77,10 @@ def test_lint_help_names_every_registered_rule():
 def test_json_format_is_machine_readable(capsys):
     assert main(["--format", "json", str(FIXTURES / "bad")]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 11
+    assert len(payload) == 12
     assert {d["code"] for d in payload} == {
         "RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008",
-        "RL009",
+        "RL009", "RL010",
     }
     sample = payload[0]
     assert set(sample) == {"path", "line", "col", "code", "message"}
@@ -103,6 +103,7 @@ def test_golden_output_matches_expected(tmp_path):
         ("RL006", "bad/core/retry.py"),
         ("RL007", "bad/util/defaults.py"),
         ("RL009", "bad/core/probe.py"),
+        ("RL010", "bad/device/builder.py"),
     ],
 )
 def test_each_fixture_fails_alone_naming_its_code(code, target):

@@ -462,3 +462,61 @@ def test_rl009_allows_broadcast_query_outside_core_and_round(tmp_path):
         """,
     })
     assert codes == []
+
+
+# -- RL010 ------------------------------------------------------------------
+
+
+def test_rl010_flags_every_identity_and_equality_form(tmp_path):
+    codes = lint_tree(tmp_path, {
+        "device/cluster.py": """\
+            from repro import types
+            from repro.types import SchemeName
+
+            def build(scheme):
+                if scheme is SchemeName.VOTING:
+                    return 1
+                if scheme is not SchemeName.AVAILABLE_COPY:
+                    return 2
+                if SchemeName.VOTING == scheme:
+                    return 3
+                return scheme != types.SchemeName.VOTING
+        """,
+    })
+    assert codes == ["RL010"] * 4
+
+
+def test_rl010_allows_the_record_module_lookups_and_other_enums(tmp_path):
+    codes = lint_tree(tmp_path, {
+        "schemes.py": """\
+            from repro.types import SchemeName
+
+            def voting(scheme):
+                return scheme is SchemeName.VOTING
+        """,
+        "faults/chaos.py": """\
+            from repro.schemes import SCHEMES
+            from repro.types import SchemeName, SiteState
+
+            def build(config, site):
+                record = SCHEMES[config.scheme]
+                schemes = [SchemeName.VOTING, SchemeName.AVAILABLE_COPY]
+                up = site.state is SiteState.AVAILABLE
+                return record, schemes, up, config.scheme in schemes
+        """,
+    })
+    assert codes == []
+
+
+def test_rl010_suppressible_with_noqa(tmp_path):
+    codes = lint_tree(tmp_path, {
+        "faults/chaos.py": """\
+            from repro.types import SchemeName
+
+            def build(config):
+                if config.scheme is SchemeName.VOTING:  # repro: noqa[RL010]
+                    return 1
+                return 0
+        """,
+    })
+    assert codes == []

@@ -11,10 +11,6 @@ delivery interceptor that opens the window after the first delivery.
 
 import pytest
 
-from repro.core.available_copy import AvailableCopyProtocol
-from repro.core.naive import NaiveAvailableCopyProtocol
-from repro.core.quorum import QuorumSpec
-from repro.core.voting import VotingProtocol
 from repro.device.reliable import ReliableDevice, RetryPolicy
 from repro.device.site import Site
 from repro.errors import (
@@ -25,6 +21,7 @@ from repro.errors import (
 from repro.faults import HistoryRecorder
 from repro.membership import MembershipManager
 from repro.net.network import Network
+from repro.schemes import build_group
 from repro.types import SchemeName
 
 NUM_BLOCKS = 4
@@ -37,17 +34,7 @@ def fill(value: int) -> bytes:
 
 
 def build(scheme):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(N)
-        sites = [
-            Site(i, NUM_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(N)
-        ]
-        return VotingProtocol(sites, Network(), spec=spec)
-    sites = [Site(i, NUM_BLOCKS, BLOCK_SIZE) for i in range(N)]
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return AvailableCopyProtocol(sites, Network())
-    return NaiveAvailableCopyProtocol(sites, Network())
+    return build_group(scheme, N, NUM_BLOCKS, BLOCK_SIZE, Network())
 
 
 class MidFanoutOpener:
@@ -104,9 +91,13 @@ class TestFencedWrite:
         for reader in protocol.site_ids:
             assert protocol.read(reader, 1) == fill(0x5A)
 
-    def test_fencing_disabled_lets_the_stale_write_through(self, scheme):
+    def test_fencing_disabled_lets_the_stale_write_through(
+        self, scheme, monkeypatch
+    ):
+        # Fencing off, planted: no member ever reports a newer epoch.
+        monkeypatch.setattr(Site, "get_epoch", lambda site: 0)
         protocol = build(scheme)
-        manager = MembershipManager(protocol, fencing=False)
+        manager = MembershipManager(protocol)
         protocol.network.set_interceptor(
             MidFanoutOpener(lambda: manager.open_remove(4))
         )

@@ -241,11 +241,3 @@ class TestAvailableCopySpecifics:
         # The joiner alone cannot commit: no old-view continuity.
         assert not manager.finalize(max_steps=8)
         assert manager.in_transition
-
-
-class TestFencingFlag:
-    def test_manager_sets_protocol_fencing(self):
-        protocol = make_voting()
-        manager = MembershipManager(protocol, fencing=False)
-        assert manager.fencing is False
-        assert protocol.epoch_fencing is False

@@ -23,14 +23,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import QuorumPolicy, QuorumSpec, VotingProtocol
-from repro.core.available_copy import AvailableCopyProtocol
-from repro.core.naive import NaiveAvailableCopyProtocol
-from repro.device import Site
+from repro.core import QuorumPolicy
 from repro.device.reliable import ReliableDevice, RetryPolicy
 from repro.errors import DeviceError
 from repro.faults import FaultInjector, HistoryRecorder
 from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName, SiteState
 
 N_SITES = 4
@@ -82,25 +80,9 @@ def fill(value: int) -> bytes:
 
 
 def make_protocol(scheme, recorder=None, policy=None):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(N_SITES)
-        group = [
-            Site(i, N_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(N_SITES)
-        ]
-        protocol = VotingProtocol(
-            group, Network(), spec=spec, policy=policy
-        )
-    else:
-        group = [Site(i, N_BLOCKS, BLOCK_SIZE) for i in range(N_SITES)]
-        if scheme is SchemeName.AVAILABLE_COPY:
-            protocol = AvailableCopyProtocol(
-                group, Network(), policy=policy
-            )
-        else:
-            protocol = NaiveAvailableCopyProtocol(
-                group, Network(), policy=policy
-            )
+    protocol = build_group(
+        scheme, N_SITES, N_BLOCKS, BLOCK_SIZE, Network(), policy=policy
+    )
     protocol.recorder = recorder
     return protocol
 

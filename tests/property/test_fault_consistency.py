@@ -15,14 +15,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import QuorumSpec, VotingProtocol
-from repro.core.available_copy import AvailableCopyProtocol
-from repro.core.naive import NaiveAvailableCopyProtocol
-from repro.device import Site
 from repro.device.reliable import ReliableDevice, RetryPolicy
 from repro.errors import DeviceError
 from repro.faults import FaultInjector, HistoryRecorder
 from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName, SiteState
 
 N_SITES = 4
@@ -51,19 +48,7 @@ def fill(value: int) -> bytes:
 
 
 def make_protocol(scheme, recorder):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(N_SITES)
-        group = [
-            Site(i, N_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(N_SITES)
-        ]
-        protocol = VotingProtocol(group, Network(), spec=spec)
-    else:
-        group = [Site(i, N_BLOCKS, BLOCK_SIZE) for i in range(N_SITES)]
-        if scheme is SchemeName.AVAILABLE_COPY:
-            protocol = AvailableCopyProtocol(group, Network())
-        else:
-            protocol = NaiveAvailableCopyProtocol(group, Network())
+    protocol = build_group(scheme, N_SITES, N_BLOCKS, BLOCK_SIZE, Network())
     protocol.recorder = recorder
     return protocol
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.quorum import TIE_BREAKER_WEIGHT, QuorumSpec
-from repro.core.voting import VotingProtocol
+from repro.core.quorum import TIE_BREAKER_WEIGHT
 from repro.device.reliable import ReliableDevice, RetryPolicy
 from repro.device.site import Site
 from repro.errors import DeviceError, MembershipError
@@ -31,6 +30,7 @@ from repro.faults import HistoryRecorder
 from repro.membership import MembershipManager, View, disjoint_write_quorums
 from repro.membership.view import _minimal_write_quorums
 from repro.net.network import Network
+from repro.schemes import build_group
 from repro.types import SchemeName, SiteState
 
 N_START = 4
@@ -52,20 +52,7 @@ ops = st.one_of(
 
 
 def make_group(scheme: SchemeName):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(N_START)
-        sites = [
-            Site(i, N_BLOCKS, BLOCK_SIZE, weight=spec.weight_of(i))
-            for i in range(N_START)
-        ]
-        return VotingProtocol(sites, Network(), spec=spec)
-    from repro.core.available_copy import AvailableCopyProtocol
-    from repro.core.naive import NaiveAvailableCopyProtocol
-
-    sites = [Site(i, N_BLOCKS, BLOCK_SIZE) for i in range(N_START)]
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return AvailableCopyProtocol(sites, Network())
-    return NaiveAvailableCopyProtocol(sites, Network())
+    return build_group(scheme, N_START, N_BLOCKS, BLOCK_SIZE, Network())
 
 
 class Driver:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import QuorumSpec, VotingProtocol
-from repro.core.available_copy import AvailableCopyProtocol
-from repro.core.naive import NaiveAvailableCopyProtocol
+from repro.core import VotingProtocol
 from repro.device import Site
 from repro.membership.view import View
 from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName, SiteState
 
 N_BLOCKS = 6
@@ -46,18 +45,9 @@ steps = st.lists(st.one_of(
 
 
 def _group(scheme: SchemeName, n: int, witnesses: int):
-    if scheme is SchemeName.VOTING:
-        spec = QuorumSpec.majority(n)
-        sites = [
-            Site(i, N_BLOCKS, BLOCK_SIZE, weight=w,
-                 is_witness=i >= n - witnesses)
-            for i, w in enumerate(spec.weights)
-        ]
-        return VotingProtocol(sites, Network(), spec=spec)
-    sites = [Site(i, N_BLOCKS, BLOCK_SIZE) for i in range(n)]
-    if scheme is SchemeName.AVAILABLE_COPY:
-        return AvailableCopyProtocol(sites, Network())
-    return NaiveAvailableCopyProtocol(sites, Network())
+    return build_group(
+        scheme, n, N_BLOCKS, BLOCK_SIZE, Network(), witnesses=witnesses
+    )
 
 
 def _check(protocol) -> None:

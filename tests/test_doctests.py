@@ -10,6 +10,7 @@ import pytest
 
 import repro.device.cache
 import repro.device.cluster
+import repro.schemes
 import repro.sim.engine
 import repro.sim.rng
 import repro.sim.stats
@@ -20,6 +21,7 @@ MODULES_WITH_EXAMPLES = [
     repro.sim.stats,
     repro.device.cache,
     repro.device.cluster,
+    repro.schemes,
 ]
 
 
