@@ -58,7 +58,7 @@ __all__ = ["AvailableCopyProtocol", "AvailableCopyBase"]
 
 def _probe_answer(node, _payload):
     """A recovery probe's reply: state, was-available set, version total."""
-    return node.state, node.get_was_available(), node.version_total()
+    return node.state, node.was_available, node.version_total()
 
 
 class AvailableCopyBase(ReplicationProtocol):
@@ -396,9 +396,9 @@ class AvailableCopyProtocol(AvailableCopyBase):
     ) -> None:
         super().__init__(sites, network, policy=policy)
         self._track_failures = track_failures
-        everyone = set(self.site_ids)
+        everyone = frozenset(self.site_ids)
         for site in self.sites:
-            site.set_was_available(everyone)
+            site.was_available = everyone
 
     @property
     def track_failures(self) -> bool:
@@ -469,7 +469,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
         """
         origin = site.site_id
         network = self._network
-        recipients = {s.site_id for s in self.available_sites()}
+        recipients = frozenset([s.site_id for s in self.available_sites()])
         updates = updates_of(content)
         epoch_tag = self.current_epoch()
         fenced: List[SiteId] = []
@@ -477,12 +477,12 @@ class AvailableCopyProtocol(AvailableCopyBase):
         def apply(node, _payload):
             if node.state is not SiteState.AVAILABLE:
                 return NO_REPLY
-            if node.get_epoch() > epoch_tag:
+            if node.epoch > epoch_tag:
                 fenced.append(node.site_id)
                 return NO_REPLY
             for index, blob, version in updates:
                 node.write_block(index, blob, version)
-            node.set_was_available(recipients)
+            node.was_available = recipients
             return True
 
         rnd = self._borrow_round()
@@ -501,7 +501,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
         self._settle_write(site, updates, fenced, epoch_tag, short=fenced)
         for block, blob, version in updates:
             site.write_block(block, blob, version)
-        site.set_was_available(recipients)
+        site.was_available = recipients
 
     # -- dynamic membership ---------------------------------------------------
 
@@ -509,7 +509,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
         """The joiner was available together with itself and every copy
         available now."""
         super().admit_joiner(site, new_view)
-        site.set_was_available(
+        site.was_available = frozenset(
             {site.site_id} | {s.site_id for s in self.available_sites()}
         )
 
@@ -534,9 +534,7 @@ class AvailableCopyProtocol(AvailableCopyBase):
             members = set(self._order)
             live = {s.site_id for s in self.available_sites()}
             for site in self.available_sites():
-                site.set_was_available(
-                    (site.get_was_available() & members) | live
-                )
+                site.was_available = (site.was_available & members) | live
 
     # -- failure handling ---------------------------------------------------------
 
@@ -553,9 +551,9 @@ class AvailableCopyProtocol(AvailableCopyBase):
         additional high-level transmissions in the paper's accounting.
         """
         available = self.available_sites()
-        live = {s.site_id for s in available}
+        live = frozenset([s.site_id for s in available])
         for site in available:
-            site.set_was_available(live)
+            site.was_available = live
 
     # -- repair: Figure 5 ----------------------------------------------------------
 
@@ -565,9 +563,9 @@ class AvailableCopyProtocol(AvailableCopyBase):
         The source can update its own set locally -- it knows it just
         served the repair -- so no extra transmission is needed.
         """
-        merged = source.get_was_available() | {target.site_id}
-        target.set_was_available(merged)
-        source.set_was_available(merged)
+        merged = source.was_available | {target.site_id}
+        target.was_available = merged
+        source.was_available = merged
 
     def _resolve_total_failure(self) -> None:
         """First select arm of Figure 5.
@@ -588,13 +586,13 @@ class AvailableCopyProtocol(AvailableCopyBase):
         members_now = set(self._order)
         recovered = {s.site_id for s in self.operational_sites()}
         known = {
-            s.site_id: s.get_was_available() & members_now
+            s.site_id: s.was_available & members_now
             for s in self.operational_sites()
         }
         anchor: Optional['Site'] = None
         for site in self.comatose_sites():
             members = closure_ready(
-                site.get_was_available() & members_now, known, recovered
+                site.was_available & members_now, known, recovered
             )
             if not members:
                 continue
@@ -614,4 +612,4 @@ class AvailableCopyProtocol(AvailableCopyBase):
         else:
             live = {s.site_id for s in self.available_sites()}
             for site in self.available_sites():
-                site.set_was_available(site.get_was_available() | live)
+                site.was_available = site.was_available | live

@@ -47,16 +47,16 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         policy: Optional[QuorumPolicy] = None,
     ) -> None:
         super().__init__(sites, network, policy=policy)
-        everyone = set(self.site_ids)
+        everyone = frozenset(self.site_ids)
         for site in self.sites:
             # W_s is fixed at S; stored once so recovery probes and the
             # closure machinery behave uniformly across schemes.
-            site.set_was_available(everyone)
+            site.was_available = everyone
 
     def admit_joiner(self, site: 'Site', new_view: 'View') -> None:
         """W_s is fixed at S: the joiner's is the successor view."""
         super().admit_joiner(site, new_view)
-        site.set_was_available(set(new_view.members))
+        site.was_available = frozenset(new_view.members)
 
     # -- write: one unacknowledged broadcast --------------------------------
 
@@ -120,7 +120,7 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         def apply(node, _payload):
             if node.state is not SiteState.AVAILABLE:
                 return
-            if node.get_epoch() > epoch_tag:
+            if node.epoch > epoch_tag:
                 fenced.append(node.site_id)
                 return
             for index, blob, version in updates:
@@ -152,9 +152,9 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
         without the joiner (unsafe).
         """
         super().commit_view_change(view)
-        everyone = set(self._order)
+        everyone = frozenset(self._order)
         for site in self.operational_sites():
-            site.set_was_available(everyone)
+            site.was_available = everyone
 
     # -- failure handling -------------------------------------------------------
 

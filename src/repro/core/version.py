@@ -60,6 +60,10 @@ class VersionVector:
         else:
             self._versions[block] = version
 
+    def clear(self) -> None:
+        """Forget every entry (in place, so :meth:`getter` stays valid)."""
+        self._versions.clear()
+
     def bump(self, block: BlockIndex, to_at_least: VersionNumber) -> None:
         """Raise ``block``'s version to at least ``to_at_least``."""
         if to_at_least > self.get(block):

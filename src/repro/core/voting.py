@@ -88,18 +88,18 @@ def _vote_handler(node, payload):
     """
     if 0 <= payload < node._num_blocks:
         return node._vget(payload, 0)
-    return node.version_of(payload)  # out of range: raise as before
+    return node.block_version(payload)  # out of range: raise as before
 
 
 def _batch_vote_handler(node, payload):
     """BATCH_VOTE_REQUEST: one reply mapping every block to a version."""
-    vget = node.version_of
+    vget = node.block_version
     return {b: vget(b) for b in payload}
 
 
 def _park_hint_handler(node, payload):
     """HINT (parking): stash a missed update durably on a fallback site."""
-    node.meta.setdefault("hints", []).append(payload)
+    node.hints.append(payload)
 
 
 def _apply_if_newer(node, payload):
@@ -666,7 +666,7 @@ class VotingProtocol(ReplicationProtocol):
         fenced: List[SiteId] = []
 
         def apply(node, _payload):
-            if node.get_epoch() > epoch_tag:
+            if node.epoch > epoch_tag:
                 fenced.append(node.site_id)
                 return
             for index, blob, version in updates:
@@ -725,7 +725,7 @@ class VotingProtocol(ReplicationProtocol):
             holder_id = fallbacks[member_id % len(fallbacks)]
             hint = (member_id, block, data, version)
             if holder_id == origin_site.site_id:
-                origin_site.meta.setdefault("hints", []).append(hint)
+                origin_site.hints.append(hint)
                 self.hints_parked += 1
             elif self.network.unicast_oneway(
                 src=origin_site.site_id,
@@ -783,7 +783,7 @@ class VotingProtocol(ReplicationProtocol):
         for holder in self.operational_sites():
             if holder.site_id == target.site_id:
                 continue
-            hints = holder.meta.get("hints")
+            hints = holder.hints
             if not hints:
                 continue
             keep = []
@@ -801,7 +801,7 @@ class VotingProtocol(ReplicationProtocol):
                     self.hints_replayed += 1
                 else:
                     keep.append(hint)
-            holder.meta["hints"] = keep
+            holder.hints = keep
         if self.meter.total != start:
             self._record_recovery(start)
 

@@ -15,7 +15,7 @@ from .cluster import ClusterConfig, ReplicatedCluster
 from .driver import DeviceDriverStub
 from .interface import BlockDevice, DeviceStats
 from .local import LocalBlockDevice
-from .persistence import dump_site, dump_store, load_site, load_store
+from .persistence import dump_site, load_site
 from .reliable import FaultStats, ReliableDevice, RetryPolicy
 from .scrub import ScrubReport, audit_replicas, scrub_replicas
 from .site import Site
@@ -35,8 +35,6 @@ __all__ = [
     "scrub_replicas",
     "dump_site",
     "load_site",
-    "dump_store",
-    "load_store",
     "BufferCache",
     "CacheStats",
     "DeviceDriverStub",

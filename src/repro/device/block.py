@@ -18,7 +18,7 @@ silently serving zeros.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.version import VersionVector
 from ..errors import BlockOutOfRangeError, BlockSizeError, CorruptBlockError
@@ -28,6 +28,10 @@ __all__ = ["BlockStore", "DEFAULT_BLOCK_SIZE"]
 
 #: Default block size, matching classic UNIX file system blocks.
 DEFAULT_BLOCK_SIZE = 512
+
+#: One stored block: ``(index, version, data, checksum)``; ``data`` and
+#: ``checksum`` are ``None`` for a version-only entry.
+Entry = Tuple[BlockIndex, VersionNumber, Optional[bytes], Optional[int]]
 
 
 class BlockStore:
@@ -216,6 +220,45 @@ class BlockStore:
     def version_total(self) -> int:
         """``version_vector().total()``, summed in place (no copy)."""
         return self._versions.total()
+
+    def entries(self) -> Iterator[Entry]:
+        """Every versioned or written block as an :data:`Entry`, sorted.
+
+        The checksum is the one recorded when the data was written --
+        not one computed now, so a rotten copy stays rotten.  With
+        :meth:`quarantined_blocks` this is the whole store;
+        :meth:`restore` takes both back.
+        """
+        for index in sorted(set(self._versions.blocks()) | set(self._data)):
+            yield (index, self._vget(index, 0), self._data.get(index),
+                   self._sums.get(index))
+
+    def restore(
+        self, entries: Iterable[Entry], quarantined: Iterable[BlockIndex]
+    ) -> None:
+        """Replace the whole store with :meth:`entries`-shaped contents.
+
+        Loads in place (the version dict is cleared, never rebound, so
+        bound accessors stay valid), taking each checksum as given.
+        This is the one path a site image fills a store through.
+        """
+        self._data.clear()
+        self._sums.clear()
+        self._quarantined.clear()
+        self._versions.clear()
+        for index, version, data, checksum in entries:
+            self.check_index(index)
+            self._versions.set(index, version)
+            if data is not None:
+                if len(data) != self._block_size:
+                    raise BlockSizeError(len(data), self._block_size)
+                self._data[index] = bytes(data)
+                self._sums[index] = checksum
+        for index in quarantined:
+            self.check_index(index)
+            if index in self._data:
+                raise ValueError(f"quarantined block {index} holds data")
+            self._quarantined.add(index)
 
     def written_blocks(self) -> Iterator[Tuple[BlockIndex, bytes, int]]:
         """(index, data, version) for every explicitly written block."""

@@ -1,106 +1,71 @@
-"""Stable-storage serialisation for sites.
+"""The stable-storage image of a site.
 
-The protocols assume that what a site keeps on *stable storage* -- its
-block data, per-block version numbers, and the durable protocol
-metadata (the was-available set) -- survives a fail-stop crash.  The
-in-memory :class:`~repro.device.site.Site` models this by simply not
-clearing anything on ``crash()``; this module makes the assumption
-testable the hard way: a site can be serialised to bytes and rebuilt
-from them, so tests can destroy the Python object entirely and prove
-the protocols still recover from nothing but the serialised stable
-storage.
+The protocols assume that what a site keeps on *stable storage*
+survives a fail-stop crash.  :attr:`Site.DURABLE
+<repro.device.site.Site.DURABLE>` declares those fields; this module
+writes exactly them to bytes and reads them back, so a test can destroy
+the Python object entirely -- or send every crash through the image --
+and prove the protocols still recover from nothing but stable storage.
 
-The format is a small self-describing binary layout (struct-packed,
-little endian, versioned magic), independent of Python's pickle so it
-is stable across runs and interpreter versions.
+Layout, format v2 (struct-packed, little endian, no pickle, so it is
+stable across runs and interpreter versions):
+
+==========  ============================================================
+magic       ``RBDS\\x02``
+header      site id, blocks, block size (u32 each), weight (f64),
+            witness (u8), epoch (u64), then the counts of the four
+            sections below (u32 each)
+W           the was-available set, ascending site ids (u32)
+hints       in stash order: owner, block (u32), version (u64), data
+entries     ascending block: block (u32), version (u64), has-data (u8);
+            a data entry follows with its *stored* CRC32 (u32) and data
+quarantine  ascending quarantined block indexes (u32)
+==========  ============================================================
+
+The CRC is the one recorded at write time, so bit rot survives the
+image: a rotten copy reloads rotten, not laundered into clean data.  A
+malformed image -- short, with trailing bytes, or with values no site
+can hold -- raises :class:`~repro.errors.DeviceError`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Set
+from typing import Iterator, List
 
 from ..errors import DeviceError
-from ..types import SiteId
-from .block import BlockStore
-from .site import Site
+from .site import Hint, Site
 
-__all__ = ["dump_site", "load_site", "dump_store", "load_store"]
+__all__ = ["dump_site", "load_site"]
 
-_MAGIC = b"RBDS\x01"
-_HEADER = struct.Struct("<IIIdBI")  # site_id, blocks, bsize, weight, wit, n_wa
-_BLOCK_ENTRY = struct.Struct("<IQ")  # index, version
-
-
-def dump_store(store: BlockStore) -> bytes:
-    """Serialise a block store (versions + any stored data).
-
-    Version-only entries (witness replicas track versions without
-    contents) are preserved with a has-data flag of 0; quarantined
-    entries (copy failed its checksum and was dropped) with a flag of
-    2, so a reloaded site still refuses to serve the damaged block.
-    """
-    with_data = {index: data for index, data, _v in store.written_blocks()}
-    quarantined = set(store.quarantined_blocks())
-    entries = sorted(store.version_vector().items())
-    parts = [struct.pack("<III", store.num_blocks, store.block_size,
-                         len(entries))]
-    for index, version in entries:
-        data = with_data.get(index)
-        if index in quarantined:
-            flag = 2
-        elif data is not None:
-            flag = 1
-        else:
-            flag = 0
-        parts.append(_BLOCK_ENTRY.pack(index, version))
-        parts.append(struct.pack("<B", flag))
-        if flag == 1:
-            parts.append(data)
-    return b"".join(parts)
-
-
-def load_store(blob: bytes, offset: int = 0):
-    """Rebuild a block store; returns ``(store, bytes_consumed)``."""
-    num_blocks, block_size, count = struct.unpack_from("<III", blob, offset)
-    offset += struct.calcsize("<III")
-    store = BlockStore(num_blocks, block_size)
-    for _ in range(count):
-        index, version = _BLOCK_ENTRY.unpack_from(blob, offset)
-        offset += _BLOCK_ENTRY.size
-        (flag,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        if flag == 1:
-            data = blob[offset : offset + block_size]
-            if len(data) != block_size:
-                raise DeviceError("truncated block payload in site image")
-            offset += block_size
-            store.write(index, data, version)
-        elif flag == 2:
-            store.set_version(index, version)
-            store.quarantine(index)
-        elif flag == 0:
-            store.set_version(index, version)
-        else:
-            raise DeviceError(f"unknown block flag {flag} in site image")
-    return store, offset
+_MAGIC = b"RBDS\x02"
+# site id, blocks, block size, weight, witness, epoch, and the counts of
+# W, hints, entries and quarantined blocks
+_HEADER = struct.Struct("<IIIdBQIIII")
+_ID = struct.Struct("<I")
+_HINT = struct.Struct("<IIQ")  # owner, block, version
+_ENTRY = struct.Struct("<IQB")  # block, version, has-data
 
 
 def dump_site(site: Site) -> bytes:
-    """Serialise a site's stable storage to a portable byte image."""
-    was_available: Set[SiteId] = site.get_was_available()
-    header = _HEADER.pack(
-        site.site_id,
-        site.store.num_blocks,
-        site.store.block_size,
-        site.weight,
-        1 if site.is_witness else 0,
-        len(was_available),
-    )
-    wa_blob = b"".join(
-        struct.pack("<I", member) for member in sorted(was_available)
-    )
-    return _MAGIC + header + wa_blob + dump_store(site.store)
+    """Serialise a site's durable fields to a portable byte image."""
+    store = site.store
+    entries = list(store.entries())
+    quarantined = store.quarantined_blocks()
+    parts = [_MAGIC, _HEADER.pack(
+        site.site_id, store.num_blocks, store.block_size, site.weight,
+        site.is_witness, site.epoch, len(site.was_available),
+        len(site.hints), len(entries), len(quarantined),
+    )]
+    parts.extend(_ID.pack(member) for member in sorted(site.was_available))
+    for owner, block, data, version in site.hints:
+        parts += (_HINT.pack(owner, block, version), data)
+    for index, version, data, checksum in entries:
+        parts.append(_ENTRY.pack(index, version, data is not None))
+        if data is not None:
+            parts += (_ID.pack(checksum), data)
+    parts.extend(_ID.pack(index) for index in quarantined)
+    return b"".join(parts)
 
 
 def load_site(blob: bytes) -> Site:
@@ -112,34 +77,63 @@ def load_site(blob: bytes) -> Site:
     """
     if not blob.startswith(_MAGIC):
         raise DeviceError("not a site image (bad magic)")
-    offset = len(_MAGIC)
-    (site_id, num_blocks, block_size, weight, witness,
-     wa_count) = _HEADER.unpack_from(blob, offset)
-    offset += _HEADER.size
-    was_available: Set[SiteId] = set()
-    for _ in range(wa_count):
-        (member,) = struct.unpack_from("<I", blob, offset)
-        offset += struct.calcsize("<I")
-        was_available.add(member)
-    store, offset = load_store(blob, offset)
-    if store.num_blocks != num_blocks or store.block_size != block_size:
-        raise DeviceError("site image header disagrees with its store")
-    site = Site(
-        site_id=site_id,
-        num_blocks=num_blocks,
-        block_size=block_size,
-        weight=weight,
-        is_witness=bool(witness),
-    )
-    with_data = {index: data for index, data, _v in store.written_blocks()}
-    quarantined = set(store.quarantined_blocks())
-    for index, version in store.version_vector().items():
-        if index in quarantined:
-            site.store.set_version(index, version)
-            site.store.quarantine(index)
-        elif index in with_data:
-            site.store.write(index, with_data[index], version)
-        else:
-            site.store.set_version(index, version)
-    site.set_was_available(was_available)
+    try:
+        return _load(blob)
+    except (struct.error, ValueError) as exc:
+        raise DeviceError(f"malformed site image: {exc}") from exc
+
+
+def _load(blob: bytes) -> Site:
+    reader = _Reader(blob, len(_MAGIC))
+    (site_id, num_blocks, block_size, weight, witness, epoch, wa_count,
+     hint_count, entry_count, quarantine_count) = reader.take(_HEADER)
+    if witness > 1:
+        raise DeviceError(f"bad witness flag {witness} in site image")
+    site = Site(site_id, num_blocks, block_size, weight, bool(witness))
+    site.set_epoch(epoch)
+    site.was_available = frozenset(reader.ids(wa_count))
+    hints: List[Hint] = []
+    for _ in range(hint_count):
+        owner, block, version = reader.take(_HINT)
+        hints.append((owner, block, reader.data(block_size), version))
+    site.hints = hints
+    entries = []
+    for _ in range(entry_count):
+        index, version, has_data = reader.take(_ENTRY)
+        if has_data > 1:
+            raise DeviceError(f"bad data flag {has_data} in site image")
+        data = checksum = None
+        if has_data:
+            (checksum,) = reader.take(_ID)
+            data = reader.data(block_size)
+        entries.append((index, version, data, checksum))
+    site.store.restore(entries, list(reader.ids(quarantine_count)))
+    if reader.offset != len(blob):
+        raise DeviceError(
+            f"{len(blob) - reader.offset} trailing bytes in site image"
+        )
     return site
+
+
+class _Reader:
+    """A cursor over an image; a short read raises ``struct.error``."""
+
+    def __init__(self, blob: bytes, offset: int) -> None:
+        self.blob = blob
+        self.offset = offset
+
+    def take(self, fmt: struct.Struct) -> tuple:
+        values = fmt.unpack_from(self.blob, self.offset)
+        self.offset += fmt.size
+        return values
+
+    def ids(self, count: int) -> Iterator[int]:
+        for _ in range(count):
+            yield self.take(_ID)[0]
+
+    def data(self, size: int) -> bytes:
+        data = self.blob[self.offset:self.offset + size]
+        if len(data) != size:
+            raise DeviceError("truncated block payload in site image")
+        self.offset += size
+        return data

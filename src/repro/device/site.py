@@ -2,15 +2,22 @@
 
 Per Section 2, the reliable device "is implemented as a set of server
 processes on several sites".  A :class:`Site` bundles what one such
-process owns:
+process owns, and declares every field once, in two groups:
 
-* stable storage -- a versioned :class:`~repro.device.block.BlockStore`
-  plus a small durable metadata dictionary (the available-copy scheme
-  keeps its was-available set there), both of which survive failures;
-* volatile state -- the :class:`~repro.types.SiteState`
-  (failed / comatose / available) driving the consistency protocols;
-* a voting weight (Section 3.1 assigns sites weights; ties for even
-  replica groups are broken by giving one site a small extra weight).
+* :attr:`Site.DURABLE` -- stable storage, which survives a fail-stop
+  crash: the identity, the versioned
+  :class:`~repro.device.block.BlockStore` (data, versions, stored
+  checksums, quarantine), the voting weight (Section 3.1 assigns sites
+  weights; ties for even replica groups are broken by giving one site a
+  small extra weight), the witness flag, the adopted membership epoch,
+  the available-copy was-available set and voting's hint stash.
+  :mod:`repro.device.persistence` writes exactly these to a site image;
+* :attr:`Site.VOLATILE` -- process state, lost at a crash: the
+  :class:`~repro.types.SiteState` (failed / comatose / available) and
+  its two plain-attribute mirrors, the failure count, and the store's
+  bound accessors.
+
+An attribute outside the two groups cannot be set (``__slots__``).
 
 Sites are passive storage + state: the protocol objects in
 :mod:`repro.core` implement all message handlers as functions over sites,
@@ -19,17 +26,32 @@ so each algorithm reads as a unit, like the paper's figures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set
+from typing import FrozenSet, List, Tuple
 
-from ..core.version import VersionVector
 from ..types import BlockIndex, SiteId, SiteState, VersionNumber
 from .block import DEFAULT_BLOCK_SIZE, BlockStore
 
 __all__ = ["Site"]
 
+#: A parked hinted-handoff update: ``(owner, block, data, version)``.
+Hint = Tuple[SiteId, BlockIndex, bytes, VersionNumber]
+
 
 class Site:
     """One replica server process and its stable storage."""
+
+    #: Stable storage: the fields a site image carries.
+    DURABLE = (
+        "_site_id", "_store", "_weight", "_is_witness", "_epoch",
+        "was_available", "hints",
+    )
+    #: Process state, and the store's bound accessors.
+    VOLATILE = (
+        "_state", "is_reachable", "is_available", "failures",
+        "_num_blocks", "_vget", "read_block", "write_block",
+        "block_version", "version_total", "version_vector",
+    )
+    __slots__ = DURABLE + VOLATILE
 
     def __init__(
         self,
@@ -43,27 +65,14 @@ class Site:
             raise ValueError(f"site weight must be positive, got {weight}")
         self._site_id = site_id
         self._store = BlockStore(num_blocks, block_size)
-        #: Bound fast-path version probe (``version_of(index) ->
-        #: version``): the vote handlers call this once per site per
-        #: operation, so the ``Site`` -> ``BlockStore`` hop is
-        #: pre-bound instead of re-resolved per vote.
-        self.version_of = self._store.version
-        #: Store internals mirrored flat onto the site: the vote
-        #: handlers answer ``_vget(block, 0)`` after an inline bounds
-        #: check, skipping the ``BlockStore.version`` frame per vote.
-        #: Sound because ``_store`` is assigned exactly once and the
-        #: version dict is mutated in place, never rebound.
-        self._vget = self._store._vget
-        self._num_blocks = num_blocks
-        #: The pure-delegation accessors below are shadowed with the
-        #: store's bound methods: one frame per block access instead of
-        #: two, with identical signatures and exceptions.
-        self.read_block = self._store.read
-        self.write_block = self._store.write
-        self.block_version = self._store.version
-        self.version_total = self._store.version_total
         self._weight = float(weight)
         self._is_witness = bool(is_witness)
+        self._epoch = 0
+        #: The was-available set W_s (available-copy schemes).
+        self.was_available: FrozenSet[SiteId] = frozenset({site_id})
+        #: Hinted-handoff updates parked here for down members (voting).
+        self.hints: List[Hint] = []
+
         self._state = SiteState.AVAILABLE
         #: Plain-attribute mirrors of the state machine, updated on every
         #: transition: the network reads ``is_reachable`` per destination
@@ -71,11 +80,20 @@ class Site:
         #: kernel overhead.
         self.is_reachable = True
         self.is_available = True
-        #: Durable protocol metadata (e.g. the was-available set), kept on
-        #: stable storage: it survives failures, like the block data.
-        self.meta: Dict[str, Any] = {}
         #: Cumulative failure count (observability / tests).
         self.failures = 0
+        #: The store's methods, bound once: one frame per block access
+        #: instead of two.  ``_vget``/``_num_blocks`` let the vote
+        #: handler answer after an inline bounds check.  Sound because
+        #: ``_store`` is assigned exactly once and its version dict is
+        #: mutated in place, never rebound.
+        self._num_blocks = num_blocks
+        self._vget = self._store._vget
+        self.read_block = self._store.read
+        self.write_block = self._store.write
+        self.block_version = self._store.version
+        self.version_total = self._store.version_total
+        self.version_vector = self._store.version_vector
 
     # -- identity -----------------------------------------------------------
 
@@ -115,6 +133,21 @@ class Site:
         """The site's stable block storage."""
         return self._store
 
+    # -- membership epoch ---------------------------------------------------
+
+    @property
+    def epoch(self) -> int:
+        """The membership epoch this site has adopted (0 = initial view)."""
+        return self._epoch
+
+    def set_epoch(self, epoch: int) -> None:
+        """Durably adopt a membership epoch.
+
+        Handlers compare a message's epoch tag against this to fence
+        in-flight writes that straddle a view change.
+        """
+        self._epoch = int(epoch)
+
     # -- state machine --------------------------------------------------------
 
     @property
@@ -138,56 +171,6 @@ class Site:
         self._state = state
         self.is_reachable = state is not SiteState.FAILED
         self.is_available = state is SiteState.AVAILABLE
-
-    # -- stable storage helpers ------------------------------------------------
-
-    def read_block(self, index: BlockIndex) -> bytes:
-        return self._store.read(index)
-
-    def write_block(
-        self, index: BlockIndex, data: bytes, version: VersionNumber
-    ) -> None:
-        self._store.write(index, data, version)
-
-    def block_version(self, index: BlockIndex) -> VersionNumber:
-        return self._store.version(index)
-
-    def version_total(self) -> int:
-        """Scalar recency proxy used to pick the most current copy."""
-        return self._store.version_total()
-
-    # read_block / write_block / block_version / version_total are
-    # shadowed by bound store methods in __init__ (see there); the defs
-    # above remain the API of record and the fallback for
-    # subclass-style introspection.
-
-    def version_vector(self) -> VersionVector:
-        return self._store.version_vector()
-
-    # -- membership epoch (durable, like the was-available set) ------------------
-
-    def get_epoch(self) -> int:
-        """The membership epoch this site has adopted (0 = initial view)."""
-        return int(self.meta.get("epoch", 0))
-
-    def set_epoch(self, epoch: int) -> None:
-        """Durably adopt a membership epoch.
-
-        Handlers compare a message's epoch tag against this to fence
-        in-flight writes that straddle a view change.
-        """
-        self.meta["epoch"] = int(epoch)
-
-    # -- was-available metadata (available-copy schemes) -------------------------
-
-    def get_was_available(self) -> Set[SiteId]:
-        """The durable was-available set W_s (defaults to {self})."""
-        stored = self.meta.get("was_available")
-        return {self._site_id} if stored is None else set(stored)
-
-    def set_was_available(self, sites: Set[SiteId]) -> None:
-        """Durably record W_s."""
-        self.meta["was_available"] = set(sites)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -223,12 +223,12 @@ class TestLazyWasAvailable:
         protocol.write(0, 0, fill(1))
         protocol.on_site_failed(2)
         protocol.write(0, 0, fill(2))  # W_0 = W_1 = {0, 1}
-        assert protocol.site(0).get_was_available() == {0, 1}
+        assert protocol.site(0).was_available == {0, 1}
         protocol.on_site_repaired(2)
         # Figure 5's tail: both parties now record the union + {2}
-        assert 2 in protocol.site(2).get_was_available()
-        source_w = protocol.site(0).get_was_available() | \
-            protocol.site(1).get_was_available()
+        assert 2 in protocol.site(2).was_available
+        source_w = protocol.site(0).was_available | \
+            protocol.site(1).was_available
         assert 2 in source_w
 
 

@@ -16,7 +16,9 @@ def test_initial_state_available():
 def test_crash_preserves_stable_storage():
     site = Site(site_id=1, num_blocks=4, block_size=4)
     site.write_block(2, b"data", version=7)
-    site.meta["was_available"] = {0, 1}
+    site.was_available = frozenset({0, 1})
+    site.set_epoch(4)
+    site.hints.append((0, 2, b"hint", 9))
     site.crash()
     assert site.state is SiteState.FAILED
     assert not site.is_reachable
@@ -24,7 +26,9 @@ def test_crash_preserves_stable_storage():
     # stable storage survives
     assert site.read_block(2) == b"data"
     assert site.block_version(2) == 7
-    assert site.get_was_available() == {0, 1}
+    assert site.was_available == {0, 1}
+    assert site.epoch == 4
+    assert site.hints == [(0, 2, b"hint", 9)]
 
 
 def test_comatose_is_reachable_but_not_available():
@@ -36,18 +40,27 @@ def test_comatose_is_reachable_but_not_available():
 
 def test_was_available_defaults_to_self():
     site = Site(site_id=3, num_blocks=4)
-    assert site.get_was_available() == {3}
+    assert site.was_available == frozenset({3})
 
 
-def test_was_available_round_trip_returns_copies():
+def test_was_available_is_immutable():
+    # A frozenset: readers share it, and no one can change it behind
+    # the site's back, so neither side needs a defensive copy.
     site = Site(site_id=0, num_blocks=4)
-    original = {0, 1, 2}
-    site.set_was_available(original)
-    got = site.get_was_available()
-    got.add(99)
-    assert site.get_was_available() == {0, 1, 2}
-    original.add(98)
-    assert site.get_was_available() == {0, 1, 2}
+    site.was_available = frozenset({0, 1, 2})
+    with pytest.raises(AttributeError):
+        site.was_available.add(99)
+    assert site.was_available == {0, 1, 2}
+
+
+def test_fields_are_declared_once():
+    site = Site(site_id=0, num_blocks=4)
+    assert set(Site.__slots__) == set(Site.DURABLE) | set(Site.VOLATILE)
+    assert not set(Site.DURABLE) & set(Site.VOLATILE)
+    with pytest.raises(AttributeError):
+        site.meta = {}
+    with pytest.raises(AttributeError):
+        site.epoch = 3  # the epoch's one writer is set_epoch
 
 
 def test_version_total():

@@ -95,7 +95,7 @@ class TestFencedWrite:
         self, scheme, monkeypatch
     ):
         # Fencing off, planted: no member ever reports a newer epoch.
-        monkeypatch.setattr(Site, "get_epoch", lambda site: 0)
+        monkeypatch.setattr(Site, "epoch", property(lambda site: 0))
         protocol = build(scheme)
         manager = MembershipManager(protocol)
         protocol.network.set_interceptor(

@@ -125,7 +125,7 @@ class TestCommitAllSchemes:
         manager.open_add(spare(9))
         assert manager.finalize()
         for site in protocol.sites:
-            assert site.get_epoch() == 1
+            assert site.epoch == 1
 
     @pytest.mark.parametrize("build", ALL_BUILDERS)
     def test_mid_window_write_is_carried_into_the_new_epoch(self, build):
@@ -193,7 +193,7 @@ class TestVotingSpecifics:
         assert manager.finalize()
         # The post-crash pass still brought the joiner fully current.
         assert protocol.read(9, 0) == fill(1)
-        assert protocol.site(9).get_epoch() == 1
+        assert protocol.site(9).epoch == 1
 
 
 class TestAvailableCopySpecifics:
@@ -229,7 +229,7 @@ class TestAvailableCopySpecifics:
         manager.open_remove(3)
         assert manager.finalize()
         for site in protocol.operational_sites():
-            assert 3 not in site.get_was_available()
+            assert 3 not in site.was_available
 
     @pytest.mark.parametrize("build", [make_ac, make_nac])
     def test_commit_requires_surviving_old_member(self, build):

@@ -304,7 +304,7 @@ def _repair_run(
         meter = cluster.meter
         records.append([
             kind, site_id, time,
-            [[s.state.value, sorted(s.get_was_available()),
+            [[s.state.value, sorted(s.was_available),
               sorted(s.version_vector().items())] for s in cluster.sites],
             sorted((c.value, n) for c, n in
                    meter.snapshot().by_category.items()),
