@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.round import QuorumRound
 from repro.errors import UnknownSiteError
 from repro.net import NO_REPLY, MessageCategory, Network
+from repro.obs import Tracer
 from repro.types import AddressingMode
 
 
@@ -170,3 +172,88 @@ class TestMembership:
         net.attach(FakeNode(5))
         net.attach(FakeNode(1))
         assert net.site_ids == [1, 5]
+
+
+class _FaultyDelivery:
+    """Interceptor dropping the delivery to ``drop`` and crashing
+    ``victim`` right after ``trigger`` handled the message."""
+
+    def __init__(self, nodes, drop, trigger, victim):
+        self._nodes = nodes
+        self._drop = drop
+        self._trigger = trigger
+        self._victim = victim
+
+    def allow_delivery(self, message, dst):
+        return dst != self._drop
+
+    def after_delivery(self, message, dst):
+        if dst == self._trigger:
+            self._nodes[self._victim].is_reachable = False
+
+
+def _faulty_network(mode):
+    """Eight sites: 2 loses its delivery, handling at 3 crashes 6, 4
+    answers NO_REPLY and 7 sits in another partition."""
+    net, nodes = make_network(mode, n=8)
+    net.partition([0, 1, 2, 3, 4, 5, 6], [7])
+    net.set_interceptor(_FaultyDelivery(nodes, drop=2, trigger=3, victim=6))
+    tracer = Tracer()
+    net.set_tracer(tracer)
+    return net, tracer
+
+
+def _quiet_at_4(answer):
+    def handler(node, payload):
+        node.received.append(payload)
+        return NO_REPLY if node.site_id == 4 else answer(node, payload)
+    return handler
+
+
+_PARITY_WIRES = [
+    # A fixed-size reply and one priced per entry of its payload.
+    (REQ, REP, 7, lambda node, block: node.site_id + block),
+    (
+        MessageCategory.BATCH_VOTE_REQUEST,
+        MessageCategory.BATCH_VOTE_REPLY,
+        (1, 2, 3),
+        lambda node, blocks: {b: node.site_id * b for b in blocks},
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", list(AddressingMode))
+@pytest.mark.parametrize("request_cat, reply_cat, payload, answer",
+                         _PARITY_WIRES)
+def test_broadcast_query_and_round_deliver_alike(
+    mode, request_cat, reply_cat, payload, answer
+):
+    """The dict gatherer and the pooled round see one delivery loop:
+    same replies in the same order, same meter by category in
+    transmissions and bytes, same ``net.*`` trace records."""
+    query_net, query_trace = _faulty_network(mode)
+    replies = query_net.broadcast_query(
+        0, request_cat, reply_cat, _quiet_at_4(answer), payload
+    )
+    round_net, round_trace = _faulty_network(mode)
+    rnd = QuorumRound()
+    rnd.begin(8)
+    round_net.broadcast_round(
+        0, request_cat, reply_cat, _quiet_at_4(answer), payload, rnd
+    )
+    assert list(replies) == [1, 3, 5]
+    assert list(replies.items()) == list(
+        zip(rnd.ids[:rnd.count], rnd.values[:rnd.count])
+    )
+    for category in MessageCategory:
+        assert query_net.meter.category_count(category) == \
+            round_net.meter.category_count(category)
+        assert query_net.meter.category_bytes(category) == \
+            round_net.meter.category_bytes(category)
+    assert query_net.meter.total_bytes == round_net.meter.total_bytes
+    query_records = [r.to_dict() for r in query_trace.spans(layer="net")]
+    round_records = [r.to_dict() for r in round_trace.spans(layer="net")]
+    assert [r["name"] for r in query_records] == ["net.request"] + [
+        "net.reply"
+    ] * 3
+    assert query_records == round_records
