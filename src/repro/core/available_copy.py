@@ -349,6 +349,37 @@ class AvailableCopyBase(ReplicationProtocol):
         self.joining.discard(joiner.site_id)
         self._rejoined(source, joiner)
 
+    def transfer_chunk(
+        self, source: 'Site', joiner: 'Site', limit: int
+    ) -> None:
+        """One bounded chunk of a joiner's state transfer.
+
+        The joiner sends its version vector and ``source`` replies with
+        its own vector plus at most ``limit`` of the blocks the joiner
+        is stale on (:meth:`_serve_vector`).  A lost request or reply
+        moves nothing; the next chunk retries.  Once the joiner lags
+        ``source`` on nothing, :meth:`finish_join` flips it AVAILABLE.
+        """
+        delivered, reply = self.network.unicast_query(
+            src=joiner.site_id,
+            dst=source.site_id,
+            request=MessageCategory.STATE_TRANSFER_REQUEST,
+            reply=MessageCategory.STATE_TRANSFER_REPLY,
+            handler=self._serve_transfer,
+            payload=(joiner.version_vector(), limit),
+        )
+        if not delivered:
+            return
+        for block, (data, version) in sorted(reply.blocks.items()):
+            joiner.write_block(block, data, version)
+        if not joiner.version_vector().stale_relative_to(reply.vector):
+            self.finish_join(source, joiner)
+
+    def _serve_transfer(self, node: 'Site', request):
+        """STATE_TRANSFER_REQUEST: :meth:`_serve_vector` capped at the
+        request's ``(vector, limit)`` block limit."""
+        return self._serve_vector(node, *request)
+
     # -- invariant (exercised by tests) ------------------------------------------
 
     def check_invariants(self) -> None:

@@ -76,6 +76,18 @@ def updates_of(payload: Any) -> Sequence[Update]:
     return (payload,)
 
 
+def _store_handler(node, payload):
+    """BLOCK_TRANSFER / BATCH_BLOCK_TRANSFER: store the pushed copies."""
+    for index, blob, version in updates_of(payload):
+        node.write_block(index, blob, version)
+
+
+def _batch_vote_handler(node, payload):
+    """BATCH_VOTE_REQUEST: one reply mapping every block to a version."""
+    vget = node.block_version
+    return {b: vget(b) for b in payload}
+
+
 class ReplicationProtocol(abc.ABC):
     """Base class for block-level consistency-control protocols."""
 
@@ -591,18 +603,23 @@ class ReplicationProtocol(abc.ABC):
             emit("protocol.recovery", "protocol", _RECOVERY_KEYS,
                  self._scheme_value, spent)
 
-    def _serve_vector(self, node: 'Site', vector: 'VersionVector'):
+    def _serve_vector(
+        self, node: 'Site', vector: 'VersionVector',
+        limit: Optional[int] = None,
+    ):
         """Figure 5's repair source: answer a version-vector request.
 
         Replies with ``node``'s own vector plus a copy of every block
-        ``vector`` is stale on.  Stale blocks whose copy at ``node`` is
-        corrupt are omitted (and quarantined there); the requester
-        fetches those elsewhere.  Quarantine keeps the version, so the
-        one vector copy taken up front is the one replied with.
+        ``vector`` is stale on -- only the first ``limit`` of them, in
+        block order, for a joiner's bounded state-transfer chunk.  Stale
+        blocks whose copy at ``node`` is corrupt are omitted (and
+        quarantined there); the requester fetches those elsewhere.
+        Quarantine keeps the version, so the one vector copy taken up
+        front is the one replied with.
         """
         current = node.version_vector()
         blocks = {}
-        for b in vector.stale_relative_to(current):
+        for b in vector.stale_relative_to(current)[:limit]:
             try:
                 blocks[b] = (node.read_block(b), node.block_version(b))
             except CorruptBlockError:

@@ -50,7 +50,11 @@ observing divergent versions pushes the newest copy to stale voters).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import (
+    AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from typing import TYPE_CHECKING
 
@@ -70,7 +74,9 @@ from ..net.network import Network
 from ..types import BlockIndex, SchemeName, SiteId, SiteState
 from .policy import QuorumPolicy
 from .quorum import CountDecider, JointDecider, QuorumDecider, QuorumSpec
-from .protocol import ReplicationProtocol, updates_of
+from .protocol import (
+    ReplicationProtocol, _batch_vote_handler, _store_handler, updates_of,
+)
 from .round import QuorumRound
 
 __all__ = ["VotingProtocol"]
@@ -91,12 +97,6 @@ def _vote_handler(node, payload):
     return node.block_version(payload)  # out of range: raise as before
 
 
-def _batch_vote_handler(node, payload):
-    """BATCH_VOTE_REQUEST: one reply mapping every block to a version."""
-    vget = node.block_version
-    return {b: vget(b) for b in payload}
-
-
 def _park_hint_handler(node, payload):
     """HINT (parking): stash a missed update durably on a fallback site."""
     node.hints.append(payload)
@@ -108,12 +108,6 @@ def _apply_if_newer(node, payload):
     contents, version)``; a hint is prefixed with its owner."""
     index, blob, version = payload[-3:]
     if node.block_version(index) < version:
-        node.write_block(index, blob, version)
-
-
-def _store_handler(node, payload):
-    """BLOCK_TRANSFER / BATCH_BLOCK_TRANSFER: store the pushed copies."""
-    for index, blob, version in updates_of(payload):
         node.write_block(index, blob, version)
 
 
@@ -557,15 +551,11 @@ class VotingProtocol(ReplicationProtocol):
         fall back to the sequential per-block refresh path, preserving
         its quarantine/heal semantics exactly.
         """
-        by_source: Dict[SiteId, List[BlockIndex]] = {}  # repro: noqa[RL009] -- repair dispatch, cold
-        for b in stale:
-            best = self._current_holders(site, b, rnd, tops[b])[0]
-            by_source.setdefault(best, []).append(b)
         fallback: List[BlockIndex] = []
-        for source_id in sorted(by_source):
+        for source_id, group in self._by_best_holder(site, stale, rnd, tops):
             holder = self.site(source_id)
             shipment: Dict[BlockIndex, Tuple[bytes, int]] = {}
-            for b in by_source[source_id]:
+            for b in group:
                 try:
                     shipment[b] = (
                         holder.read_block(b), holder.block_version(b)
@@ -584,6 +574,106 @@ class VotingProtocol(ReplicationProtocol):
                 fallback.extend(sorted(shipment))
         for b in fallback:
             self._refresh_from_voters(site, b, rnd, tops[b])
+
+    def _by_best_holder(
+        self, site: 'Site', stale: Sequence[BlockIndex], rnd: QuorumRound,
+        tops: Mapping[BlockIndex, int],
+    ) -> List[Tuple[SiteId, List[BlockIndex]]]:
+        """``stale`` grouped by best current holder, in holder id order.
+
+        A block's best holder is the first of its
+        :meth:`_current_holders`; within a group the blocks keep their
+        order in ``stale`` (the sort is stable).
+        """
+        best = sorted(
+            (
+                (self._current_holders(site, b, rnd, tops[b])[0], b)
+                for b in stale
+            ),
+            key=itemgetter(0),
+        )
+        return [
+            (source, [b for _, b in pairs])
+            for source, pairs in groupby(best, itemgetter(0))
+        ]
+
+    # -- membership catch-up: one chunk of the coordinator's sweep ------------
+
+    def sweep_chunk(
+        self,
+        coordinator: SiteId,
+        blocks: Sequence[BlockIndex],
+        targets: Sequence[SiteId],
+        quorum: Callable[[AbstractSet[SiteId]], bool],
+    ) -> Optional[List[SiteId]]:
+        """Bring ``targets`` current on ``blocks`` from ``coordinator``.
+
+        One batched vote round (Figure 3's collection, for a whole
+        chunk) finds every voter's versions.  Returns None, having
+        pushed nothing, when the voters fail ``quorum`` -- the committed
+        view's read test, without which the version maxima are
+        untrustworthy.  Otherwise each target that voted, in
+        ``targets`` order, gets its stale blocks with one
+        BATCH_BLOCK_TRANSFER per best holder; the targets that voted and
+        received every push are returned.  Unlike a read's
+        :meth:`_batch_refresh`, a target is abandoned for the pass on a
+        corrupt source copy, a block no data voter holds current, or a
+        lost transfer.
+        """
+        rnd = self._borrow_round()
+        try:
+            payload = tuple(blocks)
+            request, reply, handler = _BATCH
+            self._network.broadcast_round(
+                coordinator, request, reply, handler, payload, rnd
+            )
+            rnd.add(coordinator, handler(self.site(coordinator), payload))
+            voters = rnd.ids[:rnd.count]
+            if not quorum(set(voters)):
+                return None
+            tops = {b: max(_votes(rnd, b)) for b in payload}
+            return [
+                target_id for target_id in targets
+                if target_id in voters and self._push_current(
+                    self.site(target_id),
+                    rnd.values[voters.index(target_id)], rnd, tops,
+                )
+            ]
+        finally:
+            self._release_round(rnd)
+
+    def _push_current(
+        self, site: 'Site', mine: Mapping[BlockIndex, int],
+        rnd: QuorumRound, tops: Mapping[BlockIndex, int],
+    ) -> bool:
+        """Push ``site`` every block it voted below ``tops``; False on
+        any miss (see :meth:`sweep_chunk`)."""
+        stale = [b for b in tops if mine[b] < tops[b]]
+        try:
+            groups = self._by_best_holder(site, stale, rnd, tops)
+        except NoCurrentDataCopyError:
+            return False
+        for source_id, group in groups:
+            holder = self.site(source_id)
+            shipment: Dict[BlockIndex, Tuple[bytes, int]] = {}
+            for b in group:
+                try:
+                    shipment[b] = (
+                        holder.read_block(b), holder.block_version(b)
+                    )
+                except CorruptBlockError:
+                    self.note_corruption(source_id, b)
+                    holder.store.quarantine(b)
+                    return False
+            if not self.network.unicast_oneway(
+                src=source_id,
+                dst=site.site_id,
+                category=MessageCategory.BATCH_BLOCK_TRANSFER,
+                handler=_store_handler,
+                payload=shipment,
+            ):
+                return False
+        return True
 
     # -- Figure 4: WRITE -----------------------------------------------------
 

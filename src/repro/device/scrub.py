@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..core.protocol import ReplicationProtocol
+from ..core.protocol import ReplicationProtocol, _store_handler
 from ..core.version import VersionVector
 from ..errors import NoAvailableCopyError
 from ..net.message import MessageCategory, VectorReply
@@ -171,16 +171,11 @@ def _audit(
 
 def _push_block(protocol, source, target_id, block) -> bool:
     """One block-transfer transmission from ``source`` to ``target_id``."""
-
-    def deliver(node, payload):
-        index, data, version = payload
-        node.write_block(index, data, version)
-
     return protocol.network.unicast_oneway(
         src=source.site_id,
         dst=target_id,
         category=MessageCategory.BLOCK_TRANSFER,
-        handler=deliver,
+        handler=_store_handler,
         payload=(
             block,
             source.read_block(block),
@@ -196,17 +191,11 @@ def _push_blocks(protocol, source, target_id, blocks) -> bool:
     source; every (source, target) pair then costs a single
     BATCH_BLOCK_TRANSFER instead of one BLOCK_TRANSFER per block.
     """
-
-    def deliver(node, payload):
-        for index in sorted(payload):
-            data, version = payload[index]
-            node.write_block(index, data, version)
-
     return protocol.network.unicast_oneway(
         src=source.site_id,
         dst=target_id,
         category=MessageCategory.BATCH_BLOCK_TRANSFER,
-        handler=deliver,
+        handler=_store_handler,
         payload={
             block: (source.read_block(block), source.block_version(block))
             for block in blocks

@@ -594,10 +594,10 @@ class SiteKeyedReplyDict(Rule):
     ``Dict[SiteId, ...]`` constructed inside a ``repro/core`` function
     quietly reintroduces exactly the allocation that rewrite removed,
     so it must be a deliberate choice.  Construction in ``__init__``
-    (member tables, position indexes) is setup and exempt; cold
-    operational paths -- membership transitions, repair sweeps, the
-    compatibility helpers kept for the slow path -- stay allowed via
-    ``# repro: noqa[RL009]`` with the reason in a nearby comment.
+    (member tables, position indexes) is setup and exempt.  Cold paths
+    need no exemption either: membership catch-up and repair dispatch
+    read a pooled round and group blocks with a sorted list, so
+    ``repro.core`` carries no RL009 suppression.
 
     Detection has two halves.  The rule flags annotated assignments
     whose declared type mentions ``Dict[SiteId, ...]``, and any call
@@ -640,8 +640,7 @@ class SiteKeyedReplyDict(Rule):
                     "Dict[SiteId, ...] constructed on a repro.core "
                     "path; steady-state rounds use the pooled "
                     "QuorumRound reply table (core/round.py) -- hoist "
-                    "the dict to setup, or suppress with "
-                    "# repro: noqa[RL009] if this path is cold",
+                    "the dict to setup or read the round",
                 )
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -652,9 +651,7 @@ class SiteKeyedReplyDict(Rule):
                     ctx, node,
                     "broadcast_query on a repro.core path builds a "
                     "Dict[SiteId, ...] of replies per call; gather into "
-                    "a pooled QuorumRound with broadcast_round, or "
-                    "suppress with # repro: noqa[RL009] if this path "
-                    "is cold",
+                    "a pooled QuorumRound with broadcast_round",
                 )
 
 

@@ -13,13 +13,17 @@ reconfiguration runs in three stages:
 
 2. **step** -- bounded, deterministic units of state transfer, called
    from the foreground loop so catch-up genuinely competes with client
-   traffic.  For voting, a coordinator sweeps the block space in chunks,
-   pushing current copies to not-yet-synced new-view members; a member
-   that crashes mid-pass is invalidated (its ``failures`` counter moved)
-   and must re-earn synced status.  For the available-copy schemes the
+   traffic.  For voting, a coordinator sweeps the block space in chunks
+   (:meth:`~repro.core.voting.VotingProtocol.sweep_chunk`), pushing
+   current copies to not-yet-synced new-view members; a member that
+   crashes mid-pass is invalidated (its ``failures`` counter moved) and
+   must re-earn synced status.  For the available-copy schemes the
    joiner drains its staleness through ``STATE_TRANSFER`` chunks from
-   the best current member and is flipped AVAILABLE by
-   :meth:`finish_join` once dry.
+   the best current member
+   (:meth:`~repro.core.available_copy.AvailableCopyBase.transfer_chunk`)
+   and is flipped AVAILABLE once dry.  The chunks are protocol methods
+   on the protocol's own wire; the manager keeps the window's
+   bookkeeping and sends nothing itself.
 
 3. **commit** -- when the safety condition holds (voting: validly
    synced members carry a new-view write quorum, so every new-view read
@@ -40,16 +44,15 @@ across ``jobs=1`` and ``jobs=N`` runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
     from ..device.site import Site
     from ..faults.checker import HistoryRecorder
 from ..core.protocol import ReplicationProtocol
-from ..errors import CorruptBlockError, MembershipError
-from ..net.message import MessageCategory
+from ..errors import MembershipError
 from ..schemes import SCHEMES
-from ..types import BlockIndex, SiteId, SiteState
+from ..types import SiteId, SiteState
 from .view import View
 
 __all__ = ["MembershipManager"]
@@ -251,21 +254,21 @@ class MembershipManager:
         )
         if coordinator is None:
             return  # no surviving old-and-new member; wait for repairs
-        chunk = list(range(
-            self._cursor,
-            min(self._cursor + self._catchup_blocks, protocol.num_blocks),
-        ))
-        votes = self._chunk_votes(coordinator, chunk)
-        if votes is None:
+        current = protocol.sweep_chunk(
+            coordinator,
+            range(
+                self._cursor,
+                min(self._cursor + self._catchup_blocks, protocol.num_blocks),
+            ),
+            sorted(self._pass_targets),
+            old.meets_read,
+        )
+        if current is None:
             return  # no old-view read quorum answered; retry later
-        for target_id in sorted(self._pass_targets):
-            if target_id not in votes:
-                # The target did not vote (crashed or unreachable); it
-                # cannot be certified by this pass.
-                del self._pass_targets[target_id]
-                continue
-            if not self._push_chunk(target_id, chunk, votes):
-                del self._pass_targets[target_id]
+        for target_id in self._pass_targets.keys() - set(current):
+            # The target did not vote (crashed or unreachable) or
+            # missed a push; this pass cannot certify it.
+            del self._pass_targets[target_id]
         self._cursor += self._catchup_blocks
         if self._cursor >= protocol.num_blocks:
             # Pass complete: survivors that were neither interrupted by
@@ -275,80 +278,6 @@ class MembershipManager:
                 if site.is_available and site.failures == snap:
                     self._synced[target_id] = snap
             self._pass_targets = None
-
-    def _chunk_votes(
-        self, coordinator: SiteId, chunk: List[BlockIndex]
-    ) -> Optional[Dict[SiteId, Dict[BlockIndex, int]]]:
-        """One batched vote round over ``chunk``; None without an
-        old-view read quorum (the version maxima would be untrustworthy)."""
-        protocol = self._protocol
-
-        def vote(node, payload):
-            return {b: node.block_version(b) for b in payload}
-
-        replies = protocol.network.broadcast_query(
-            coordinator,
-            request=MessageCategory.BATCH_VOTE_REQUEST,
-            reply=MessageCategory.BATCH_VOTE_REPLY,
-            handler=vote,
-            payload=tuple(chunk),
-        )
-        votes: Dict[SiteId, Dict[BlockIndex, int]] = dict(replies)
-        origin = protocol.site(coordinator)
-        votes[coordinator] = {b: origin.block_version(b) for b in chunk}
-        if not self.view.meets_read(set(votes)):
-            return None
-        return votes
-
-    def _push_chunk(
-        self,
-        target_id: SiteId,
-        chunk: List[BlockIndex],
-        votes: Dict[SiteId, Dict[BlockIndex, int]],
-    ) -> bool:
-        """Bring ``target_id`` current on ``chunk``; False on any miss."""
-        protocol = self._protocol
-        tops = {b: max(votes[s][b] for s in votes) for b in chunk}
-        stale = [b for b in chunk if votes[target_id][b] < tops[b]]
-        if not stale:
-            return True
-        data_ids = set(protocol.data_site_ids)
-        by_source: Dict[SiteId, List[BlockIndex]] = {}
-        for b in stale:
-            holders = sorted(
-                s for s, v in votes.items()
-                if v[b] == tops[b] and s != target_id and s in data_ids
-            )
-            if not holders:
-                return False
-            by_source.setdefault(holders[0], []).append(b)
-
-        def deliver(node, payload):
-            for index in sorted(payload):
-                blob, v = payload[index]
-                node.write_block(index, blob, v)
-
-        for source_id in sorted(by_source):
-            holder = protocol.site(source_id)
-            shipment: Dict[BlockIndex, Tuple[bytes, int]] = {}
-            for b in by_source[source_id]:
-                try:
-                    shipment[b] = (
-                        holder.read_block(b), holder.block_version(b)
-                    )
-                except CorruptBlockError:
-                    protocol.note_corruption(source_id, b)
-                    holder.store.quarantine(b)
-                    return False
-            if not protocol.network.unicast_oneway(
-                src=source_id,
-                dst=target_id,
-                category=MessageCategory.BATCH_BLOCK_TRANSFER,
-                handler=deliver,
-                payload=shipment,
-            ):
-                return False
-        return True
 
     # -- available copy: state-transfer chunks for the joiner ---------------
 
@@ -376,37 +305,7 @@ class MembershipManager:
         source = max(
             candidates, key=lambda s: (s.version_total(), -s.site_id)
         )
-
-        def serve(node, payload):
-            vector, limit = payload
-            stale = vector.stale_relative_to(node.version_vector())
-            blocks: Dict[BlockIndex, Tuple[bytes, int]] = {}
-            for b in stale[:limit]:
-                try:
-                    blocks[b] = (node.read_block(b), node.block_version(b))
-                except CorruptBlockError:
-                    self._protocol.note_corruption(node.site_id, b)
-                    node.store.quarantine(b)
-            return node.version_vector(), blocks
-
-        delivered, reply = protocol.network.unicast_query(
-            src=joiner_id,
-            dst=source.site_id,
-            request=MessageCategory.STATE_TRANSFER_REQUEST,
-            reply=MessageCategory.STATE_TRANSFER_REPLY,
-            handler=serve,
-            payload=(joiner.version_vector(), self._catchup_blocks),
-        )
-        if not delivered:
-            return  # transient loss; next step retries
-        vector, blocks = reply
-        for block, (data, version) in sorted(blocks.items()):
-            joiner.write_block(block, data, version)
-        remaining = joiner.version_vector().stale_relative_to(vector)
-        if not remaining:
-            # Dry: flip the joiner to a first-class available copy (one
-            # closing version-vector exchange rides inside).
-            protocol.finish_join(source, joiner)
+        protocol.transfer_chunk(source, joiner, self._catchup_blocks)
 
     # -- stage 3: commit -----------------------------------------------------
 

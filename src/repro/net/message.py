@@ -167,6 +167,9 @@ class VectorReply(NamedTuple):
     ``vector`` is the replier's version vector, ``blocks`` the stale
     blocks it ships (``{block: (contents, version)}``) and ``corrupt``
     the indexes of its own corrupt copies (a scrub audit's finding).
+    A STATE_TRANSFER_REPLY carries one too: that category declares the
+    first two fields only, so ``corrupt`` (always empty there) is not
+    priced.
     """
 
     vector: Any

@@ -277,18 +277,17 @@ class Network:
         src: SiteId,
         payload: Any,
         destinations: Sequence[Any],
-        broadcast: bool,
     ) -> None:
         """Meter an outgoing request under the current addressing mode.
 
         Only the *number* of destinations matters here, so callers may
         pass either a list of site ids or a list of ``(id, node)``
-        pairs.
+        pairs.  One destination costs one transmission in either mode.
         """
         if not destinations:
             return
         size = self._size_model.bytes_of(category, payload)
-        if broadcast and self._mode is AddressingMode.MULTICAST:
+        if self._mode is AddressingMode.MULTICAST:
             transmissions = 1
         else:
             transmissions = len(destinations)
@@ -341,49 +340,24 @@ class Network:
         payload: Any = None,
         destinations: Optional[List[SiteId]] = None,
     ) -> Dict[SiteId, Any]:
-        """Send a request to many sites and gather replies.
+        """Send a request to many sites; return ``site_id -> reply``.
 
-        ``destinations`` defaults to every other attached site.  The
-        request is metered per the addressing mode; each *reachable*
-        destination executes ``handler(node, payload)`` and its reply is
-        metered as one individually addressed transmission.  Unreachable
-        destinations silently produce no reply (fail-stop).
-
-        Returns a mapping ``site_id -> handler result`` over the sites
-        that replied.
+        :meth:`broadcast_round` into a fresh round, read back as a dict
+        in arrival order.  The name stays because the whole-stack
+        benchmark (``benchmarks/stack``) patches every network entry
+        point by name.
         """
-        if destinations is None:
-            pairs = self._peers(src)
-        else:
-            nodes = self._nodes
-            pairs = [(d, nodes.get(d)) for d in destinations]
-        self._count_request(request, src, payload, pairs, True)
-        hook = self._interceptor
-        message = (
-            Message(src, BROADCAST, request, payload)
-            if hook is not None else None
+        from ..core.round import QuorumRound
+
+        out = QuorumRound()
+        out.begin(
+            len(self._sorted_ids) if destinations is None
+            else len(destinations)
         )
-        partition = self._partition
-        replies: Dict[SiteId, Any] = {}
-        for dst, node in pairs:
-            if node is None:
-                raise UnknownSiteError(dst)
-            if not node.is_reachable:
-                continue
-            if partition and partition.get(src) != partition.get(dst):
-                continue
-            if hook is not None:
-                if not hook.allow_delivery(message, dst):
-                    continue
-                result = handler(node, payload)
-                hook.after_delivery(message, dst)
-            else:
-                result = handler(node, payload)
-            if result is NO_REPLY:
-                continue
-            self._count_reply(reply, dst, src, result)
-            replies[dst] = result
-        return replies
+        self.broadcast_round(
+            src, request, reply, handler, payload, out, destinations
+        )
+        return dict(zip(out.ids[:out.count], out.values[:out.count]))
 
     def broadcast_round(
         self,
@@ -395,11 +369,17 @@ class Network:
         out: "QuorumRound",
         destinations: Optional[List[SiteId]] = None,
     ) -> None:
-        """:meth:`broadcast_query` minus the per-call reply dict.
+        """Send a request to many sites and gather replies into ``out``.
+
+        ``destinations`` defaults to every other attached site.  The
+        request is metered per the addressing mode; each *reachable*
+        destination executes ``handler(node, payload)`` and its reply is
+        metered as one individually addressed transmission.  Unreachable
+        destinations silently produce no reply (fail-stop).
 
         Replies are appended to ``out`` (a pooled
-        :class:`~repro.core.round.QuorumRound`) in the same arrival
-        order the reply dict's insertion order had.  A reply's size is
+        :class:`~repro.core.round.QuorumRound`) in arrival order.  This
+        is the network's one reply-gathering loop.  A reply's size is
         its category's fixed size or, for a payload-dependent category,
         :meth:`SizeModel.bytes_of` of the reply; the sizes are summed,
         and the round's replies are booked in one
@@ -415,7 +395,7 @@ class Network:
         else:
             nodes = self._nodes
             pairs = [(d, nodes.get(d)) for d in destinations]
-        self._count_request(request, src, payload, pairs, True)
+        self._count_request(request, src, payload, pairs)
         hook = self._interceptor
         message = (
             Message(src, BROADCAST, request, payload)
@@ -486,7 +466,7 @@ class Network:
         else:
             nodes = self._nodes
             pairs = [(d, nodes.get(d)) for d in destinations]
-        self._count_request(category, src, payload, pairs, True)
+        self._count_request(category, src, payload, pairs)
         hook = self._interceptor
         message = (
             Message(src, BROADCAST, category, payload)
@@ -525,7 +505,7 @@ class Network:
         Returns ``(True, reply)`` if the destination was reachable, else
         ``(False, None)`` (the request is still metered -- it was sent).
         """
-        self._count_request(request, src, payload, [dst], False)
+        self._count_request(request, src, payload, [dst])
         node = self.node(dst)
         if not self._delivers(src, node):
             return False, None
@@ -552,7 +532,7 @@ class Network:
         payload: Any = None,
     ) -> bool:
         """Send one request to one site without expecting a reply."""
-        self._count_request(category, src, payload, [dst], False)
+        self._count_request(category, src, payload, [dst])
         node = self.node(dst)
         if not self._delivers(src, node):
             return False

@@ -26,6 +26,8 @@ from repro.core import QuorumPolicy
 from repro.device import Site, persistence
 from repro.device.persistence import load_site
 from repro.faults.chaos import ChaosConfig, ChaosResult, run_chaos
+from repro.net import Network
+from repro.schemes import build_group
 from repro.types import SchemeName
 
 from ..sim._fingerprint import SCENARIOS, fingerprint
@@ -108,6 +110,34 @@ def test_chaos_matrix_survives_crash_through_image(
     assert len(results) == 42
     assert sum(r.injected.crashes for r in results) > 0
     assert _differing(results, reference_results) == []
+
+
+def test_hint_parked_on_a_crashed_fallback_reaches_its_owner(
+    crash_through_image
+):
+    """A hint outlives its holder's crash: the stash is stable storage.
+
+    The sloppy history checker cannot see a lost hint (a stale R = 1
+    read is legal under a sloppy policy), so this pins the replay
+    itself: owner 1 is down, the write from 0 parks its hint on
+    fallback 2 (1 mod 4 of the appliers 0, 2, 3, 4), 2 crashes through
+    its image and comes back, then the owner repairs.
+    """
+    policy = QuorumPolicy(5, 1, 1, allow_sloppy=True, hinted_handoff=True)
+    protocol = build_group(
+        SchemeName.VOTING, 5, 8, 64, Network(), policy=policy
+    )
+    owner, fallback = protocol.site(1), protocol.site(2)
+    protocol.on_site_failed(owner.site_id)
+    version = protocol.write(0, 3, b"\x5a" * 64)
+    assert fallback.hints == [(1, 3, b"\x5a" * 64, version)]
+    protocol.on_site_failed(fallback.site_id)
+    protocol.on_site_repaired(fallback.site_id)
+    protocol.on_site_repaired(owner.site_id)
+    assert owner.block_version(3) == version
+    assert owner.read_block(3) == b"\x5a" * 64
+    assert protocol.hints_replayed == 1
+    assert fallback.hints == []
 
 
 # -- planted mutants: an image that drops one durable field -------------------
