@@ -196,6 +196,44 @@ class TestVotingSpecifics:
         assert protocol.site(9).epoch == 1
 
 
+    def _sweep_setup(self):
+        protocol = make_voting(5)
+        for block in range(NUM_BLOCKS):
+            protocol.write(0, block, fill(block + 1))
+        manager = MembershipManager(protocol)
+        manager.open_add(spare(9))
+        return protocol, manager.view.meets_read
+
+    def test_sweep_chunk_brings_voting_targets_current(self):
+        protocol, old_read = self._sweep_setup()
+        protocol.on_site_failed(3)
+        current = protocol.sweep_chunk(0, range(NUM_BLOCKS), [3, 4, 9],
+                                       old_read)
+        assert current == [4, 9]  # 3 did not vote
+        assert [protocol.site(9).block_version(b)
+                for b in range(NUM_BLOCKS)] == [1] * NUM_BLOCKS
+        assert protocol.site(9).read_block(2) == fill(3)
+
+    def test_sweep_chunk_pushes_nothing_without_an_old_read_quorum(self):
+        protocol, old_read = self._sweep_setup()
+        for site_id in (1, 2, 3):
+            protocol.on_site_failed(site_id)
+        assert protocol.sweep_chunk(0, range(NUM_BLOCKS), [4, 9],
+                                    old_read) is None
+        assert protocol.site(9).block_version(0) == 0
+
+    def test_sweep_chunk_abandons_a_target_on_a_corrupt_source(self):
+        """A read's batch refresh falls back block by block; the sweep
+        drops the target for this pass, after quarantining the copy."""
+        protocol, old_read = self._sweep_setup()
+        protocol.site(0).store.inject_corruption(1, fill(0xEE))
+        assert protocol.sweep_chunk(0, range(NUM_BLOCKS), [9],
+                                    old_read) == []
+        assert protocol.site(0).store.is_quarantined(1)
+        assert protocol.corruptions_detected == 1
+        assert protocol.site(9).block_version(0) == 0
+
+
 class TestAvailableCopySpecifics:
     @pytest.mark.parametrize("build", [make_ac, make_nac])
     def test_joiner_is_comatose_until_caught_up(self, build):
