@@ -228,3 +228,78 @@ class TestTornBatches:
         assert protocol.read_batch(0, [0, 1, 2]) == updates
         assert protocol.corruptions_detected == 1
         assert protocol.blocks_healed == 1
+
+
+class TestBatchReadByRequestPosition:
+    """A batch read in non-ascending order: every per-block decision
+    (best holder, fallback, read-repair targets) reads the votes of the
+    block it is about, not of the block at its sorted position."""
+
+    SIZE = 16
+
+    def _group(self):
+        from repro.core import QuorumPolicy
+        from repro.net import Network
+        from repro.schemes import build_group
+
+        protocol = build_group(
+            SchemeName.VOTING, 4, 8, self.SIZE, Network(),
+            policy=QuorumPolicy(4, 4, 3),
+        )
+        sites = protocol.sites
+        # block -> the version each site holds; the origin (site 0) is
+        # stale on all three, and block 3's best holder differs from
+        # block 0's.
+        layout = {
+            3: (1, 1, 2, 2),
+            0: (1, 3, 1, 3),
+            2: (1, 1, 2, 1),
+        }
+        for block, versions in layout.items():
+            for site, version in zip(sites, versions):
+                site.write_block(block, self.fill(block, version), version)
+        # Site 2, block 3's best holder, holds a rotten copy of it.
+        sites[2].store.inject_corruption(3, b"\xff" * self.SIZE)
+        return protocol
+
+    def fill(self, block, version):
+        return bytes([16 * block + version]) * self.SIZE
+
+    def test_stale_read_in_request_order(self):
+        protocol = self._group()
+        sent = []
+        original = protocol.network.unicast_oneway
+
+        def spy(**kwargs):
+            payload = kwargs["payload"]
+            blocks = (
+                sorted(payload) if type(payload) is dict else [payload[0]]
+            )
+            sent.append((
+                kwargs["category"], kwargs["src"], kwargs["dst"], blocks,
+            ))
+            return original(**kwargs)
+
+        protocol.network.unicast_oneway = spy
+        assert protocol.read_batch(0, [3, 0, 2]) == {
+            3: self.fill(3, 2), 0: self.fill(0, 3), 2: self.fill(2, 2),
+        }
+        transfers = [m for m in sent if m[0] is not MessageCategory.READ_REPAIR]
+        assert transfers == [
+            (MessageCategory.BATCH_BLOCK_TRANSFER, 1, 0, [0]),
+            (MessageCategory.BATCH_BLOCK_TRANSFER, 2, 0, [2]),
+            (MessageCategory.BLOCK_TRANSFER, 3, 0, [3]),
+        ]
+        assert protocol.lazy_repairs == 3
+        store = protocol.site(2).store
+        assert store.quarantined_blocks() == [3]
+        assert store.version(3) == 2
+        # The fallback tried site 2 again before site 3: both count.
+        assert protocol.corruptions_detected == 2
+        pushes = [m[1:] for m in sent if m[0] is MessageCategory.READ_REPAIR]
+        assert pushes == [(0, 1, [3]), (0, 2, [0]), (0, 1, [2]), (0, 3, [2])]
+        assert protocol.read_repairs == 4
+        for site_id, block, version in ((1, 3, 2), (2, 0, 3), (1, 2, 2),
+                                        (3, 2, 2)):
+            site = protocol.site(site_id)
+            assert site.read_block(block) == self.fill(block, version)
