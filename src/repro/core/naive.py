@@ -123,8 +123,7 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
             if node.epoch > epoch_tag:
                 fenced.append(node.site_id)
                 return
-            for index, blob, version in updates:
-                node.write_block(index, blob, version)
+            node.apply(updates)
 
         delivered = network.broadcast_oneway(
             src=origin, category=category, handler=apply, payload=payload
@@ -136,8 +135,7 @@ class NaiveAvailableCopyProtocol(AvailableCopyBase):
                         and network.can_communicate(origin, peer.site_id)):
                     self.fence(peer.site_id)
         self._settle_write(site, updates, fenced, epoch_tag, short=fenced)
-        for block, blob, version in updates:
-            site.write_block(block, blob, version)
+        site.apply(updates)
 
     # -- dynamic membership ---------------------------------------------------
 

@@ -23,6 +23,7 @@ number of repair events reproduces the paper's per-recovery costs.
 from __future__ import annotations
 
 import abc
+from zlib import crc32
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
@@ -49,8 +50,9 @@ from .round import QuorumRound
 
 __all__ = ["ReplicationProtocol", "Update", "updates_of"]
 
-#: One block of a write fan-out: ``(block, contents, version)``.
-Update = Tuple[BlockIndex, bytes, int]
+#: One block of a write fan-out: ``(block, contents, version, crc32)``,
+#: the shape :meth:`~repro.device.block.BlockStore.apply` stores.
+Update = Tuple[BlockIndex, bytes, int, int]
 
 #: Attribute names of a ``protocol.<op>`` span, single-block and batched
 #: (one tuple per shape, shared by every span: see ``Tracer.open_span``).
@@ -69,23 +71,34 @@ def updates_of(payload: Any) -> Sequence[Update]:
     in ascending block order.  The two wire shapes are all that
     differs between a single-block and a batched fan-out, so every
     fan-out reads its message through this one function (once, for
-    all recipients).
+    all recipients), which also computes each block's checksum once
+    for every replica that stores it.
     """
     if type(payload) is dict:
-        return [(b, *payload[b]) for b in sorted(payload)]
-    return (payload,)
+        return [
+            (b, blob, version, crc32(blob))
+            for b, (blob, version) in sorted(payload.items())
+        ]
+    block, blob, version = payload
+    return ((block, blob, version, crc32(blob)),)
 
 
 def _store_handler(node, payload):
     """BLOCK_TRANSFER / BATCH_BLOCK_TRANSFER: store the pushed copies."""
-    for index, blob, version in updates_of(payload):
-        node.write_block(index, blob, version)
+    node.apply(updates_of(payload))
 
 
 def _batch_vote_handler(node, payload):
-    """BATCH_VOTE_REQUEST: one reply mapping every block to a version."""
-    vget = node.block_version
-    return {b: vget(b) for b in payload}
+    """BATCH_VOTE_REQUEST: the voter's versions, in request order.
+
+    A tuple built from a list: ``tuple(map(...))`` would leave the
+    collector's generation-0 count higher.  An out-of-range block goes
+    to the checked probe, which raises.
+    """
+    vget, n = node._vget, node._num_blocks
+    return tuple([
+        vget(b, 0) if 0 <= b < n else node.block_version(b) for b in payload
+    ])
 
 
 class ReplicationProtocol(abc.ABC):
@@ -544,7 +557,7 @@ class ReplicationProtocol(abc.ABC):
         if not (crashed or short):
             return
         if self.recorder is not None:
-            for block, blob, version in updates:
+            for block, blob, version, _ in updates:
                 self.recorder.torn_write(block, blob, version)
         if crashed:
             raise SiteDownError(

@@ -32,13 +32,16 @@ class QuorumRound:
     meaningful; older slots hold stale garbage by design.
     """
 
-    __slots__ = ("ids", "values", "count", "top")
+    __slots__ = ("ids", "values", "count", "top", "request")
 
     def __init__(self) -> None:
         self.ids: List[SiteId] = []
         self.values: List[Any] = []
         self.count = 0
         self.top = 0
+        #: What the round asked, for reading a reply by position: a
+        #: batch vote round's blocks, in request order.
+        self.request: Any = None
 
     def begin(self, positions: int) -> None:
         """Start a new round for a group of ``positions`` sites.
@@ -59,7 +62,7 @@ class QuorumRound:
 
         ``type(value) is int`` rather than ``isinstance``: version
         numbers are exact ints, and the running maximum is meaningless
-        for the non-int reply shapes (acks, batch dicts) anyway.
+        for the non-int reply shapes (acks, batch vote tuples) anyway.
         """
         i = self.count
         self.ids[i] = site_id

@@ -102,6 +102,16 @@ def _park_hint_handler(node, payload):
     node.hints.append(payload)
 
 
+def _take(node, updates):
+    """Store a fan-out's ``updates`` at ``node``; a witness records
+    their versions only."""
+    if node.is_witness:
+        for index, _, version, _ in updates:
+            node.store.set_version(index, version)
+    else:
+        node.apply(updates)
+
+
 def _apply_if_newer(node, payload):
     """HINT (replay) and READ_REPAIR: apply the carried copy unless the
     node already holds a newer one.  Both payloads end in ``(block,
@@ -112,9 +122,9 @@ def _apply_if_newer(node, payload):
 
 
 #: ``(request, reply, handler)`` of the two vote-collection rounds.  A
-#: single-block vote is a version number, a batched one a ``{block:
-#: version}`` map; apart from the write fan-out's category these are
-#: the only things a batch changes on the wire.
+#: single-block vote is a version number, a batched one a tuple of
+#: versions in request order; apart from the write fan-out's category
+#: these are the only things a batch changes on the wire.
 _SINGLE = (
     MessageCategory.VOTE_REQUEST,
     MessageCategory.VOTE_REPLY,
@@ -131,15 +141,17 @@ def _votes(rnd: QuorumRound, block: BlockIndex) -> List[int]:
     """The versions voted for ``block``, aligned with ``rnd.ids``.
 
     A :data:`_SINGLE` round's values are the votes themselves, a
-    :data:`_BATCH` round's values map every block to its vote.  The
-    entry points read the top version their own way (``rnd.top`` /
-    a maximum per block); the refresh, healing and read-repair paths
-    that need to know *who* voted what go through here.
+    :data:`_BATCH` round's values are version tuples, read at the
+    block's position in ``rnd.request``.  The entry points read the top
+    version their own way (``rnd.top`` / a maximum per column); the
+    refresh, healing and read-repair paths that need to know *who*
+    voted what go through here.
     """
     values = rnd.values[:rnd.count]
     if type(values[0]) is int:
         return values
-    return [vote[block] for vote in values]
+    i = rnd.request.index(block)
+    return [vote[i] for vote in values]
 
 
 class VotingProtocol(ReplicationProtocol):
@@ -331,6 +343,7 @@ class VotingProtocol(ReplicationProtocol):
         """
         origin = site.site_id
         request, reply, handler = wire
+        rnd.request = payload
         self._network.broadcast_round(
             origin, request, reply, handler, payload, rnd
         )
@@ -374,7 +387,7 @@ class VotingProtocol(ReplicationProtocol):
         lazy repair, corruption healing, read repair, the R = 1 local
         read -- are identical to :meth:`read`.
         """
-        ordered = list(dict.fromkeys(blocks))
+        ordered = tuple(dict.fromkeys(blocks))
         if not ordered:
             return {}
         site = self._client_site(origin)
@@ -386,20 +399,21 @@ class VotingProtocol(ReplicationProtocol):
                 return {b: self._read_local(site, b) for b in ordered}
             rnd = self._borrow_round()
             try:
-                mine = {b: site.block_version(b) for b in ordered}
+                mine = _batch_vote_handler(site, ordered)
                 self._collect(
-                    rnd, site, _BATCH, tuple(ordered), mine,
+                    rnd, site, _BATCH, ordered, mine,
                     self._decider.read_shortfall,
                 )
-                replies = rnd.values[:rnd.count]
-                tops = {b: max([r[b] for r in replies]) for b in ordered}
-                stale = [b for b in ordered if mine[b] < tops[b]]
+                tops = dict(zip(
+                    ordered, map(max, zip(*rnd.values[:rnd.count]))
+                ))
+                stale = [b for b, v in zip(ordered, mine) if v < tops[b]]
                 if stale:
                     self._batch_refresh(site, stale, rnd, tops)
                     self.lazy_repairs += len(stale)
                 return {
-                    b: self._read_current(site, b, rnd, tops[b])
-                    for b in ordered
+                    b: self._read_current(site, b, rnd, top)
+                    for b, top in tops.items()
                 }
             finally:
                 self._release_round(rnd)
@@ -622,7 +636,7 @@ class VotingProtocol(ReplicationProtocol):
         """
         rnd = self._borrow_round()
         try:
-            payload = tuple(blocks)
+            payload = rnd.request = tuple(blocks)
             request, reply, handler = _BATCH
             self._network.broadcast_round(
                 coordinator, request, reply, handler, payload, rnd
@@ -631,7 +645,9 @@ class VotingProtocol(ReplicationProtocol):
             voters = rnd.ids[:rnd.count]
             if not quorum(set(voters)):
                 return None
-            tops = {b: max(_votes(rnd, b)) for b in payload}
+            tops = dict(zip(
+                payload, map(max, zip(*rnd.values[:rnd.count]))
+            ))
             return [
                 target_id for target_id in targets
                 if target_id in voters and self._push_current(
@@ -643,12 +659,13 @@ class VotingProtocol(ReplicationProtocol):
             self._release_round(rnd)
 
     def _push_current(
-        self, site: 'Site', mine: Mapping[BlockIndex, int],
+        self, site: 'Site', mine: Sequence[int],
         rnd: QuorumRound, tops: Mapping[BlockIndex, int],
     ) -> bool:
         """Push ``site`` every block it voted below ``tops``; False on
-        any miss (see :meth:`sweep_chunk`)."""
-        stale = [b for b in tops if mine[b] < tops[b]]
+        any miss (see :meth:`sweep_chunk`).  ``mine`` is its vote, in
+        the order of ``tops``."""
+        stale = [b for (b, top), v in zip(tops.items(), mine) if v < top]
         try:
             groups = self._by_best_holder(site, stale, rnd, tops)
         except NoCurrentDataCopyError:
@@ -706,7 +723,7 @@ class VotingProtocol(ReplicationProtocol):
         exactly as :meth:`write` tears a single block.  No cross-block
         atomicity is claimed.
         """
-        blocks = sorted(updates)
+        blocks = tuple(sorted(updates))
         if not blocks:
             return {}
         site = self._client_site(origin)
@@ -715,13 +732,14 @@ class VotingProtocol(ReplicationProtocol):
             rnd = self._borrow_round()
             try:
                 self._collect(
-                    rnd, site, _BATCH, tuple(blocks),
-                    {b: site.block_version(b) for b in blocks},
+                    rnd, site, _BATCH, blocks,
+                    _batch_vote_handler(site, blocks),
                     self._decider.write_shortfall,
                 )
-                replies = rnd.values[:rnd.count]
                 versions = {
-                    b: max([r[b] for r in replies]) + 1 for b in blocks
+                    b: top + 1 for b, top in zip(
+                        blocks, map(max, zip(*rnd.values[:rnd.count]))
+                    )
                 }
                 self._fan_out(
                     site, rnd, MessageCategory.BATCH_WRITE_UPDATE,
@@ -759,11 +777,7 @@ class VotingProtocol(ReplicationProtocol):
             if node.epoch > epoch_tag:
                 fenced.append(node.site_id)
                 return
-            for index, blob, version in updates:
-                if node.is_witness:
-                    node.store.set_version(index, version)
-                else:
-                    node.write_block(index, blob, version)
+            _take(node, updates)
 
         delivered = self._network.broadcast_oneway(
             src=origin,
@@ -777,13 +791,12 @@ class VotingProtocol(ReplicationProtocol):
             applied = {origin, *delivered}.difference(fenced)
             missed = self._decider.write_shortfall(applied)
         self._settle_write(site, updates, fenced, epoch_tag, short=missed)
-        for block, blob, version in updates:
-            site.write_block(block, blob, version)
+        site.apply(updates)
         policy = self.policy
         if policy is not None and policy.hinted_handoff:
             # None here means nothing was lost or fenced.
             applied = applied or {origin, *delivered}
-            for block, blob, version in updates:
+            for block, blob, version, _ in updates:
                 self._park_hints(site, applied, block, blob, version)
 
     def _park_hints(
@@ -920,9 +933,5 @@ class VotingProtocol(ReplicationProtocol):
             payload=site.version_vector(),
         )
         if delivered:
-            for block, (data, version) in sorted(reply.blocks.items()):
-                if site.is_witness:
-                    site.store.set_version(block, version)
-                else:
-                    site.write_block(block, data, version)
+            _take(site, updates_of(reply.blocks))
         self._record_recovery(start)

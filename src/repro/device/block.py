@@ -98,21 +98,33 @@ class BlockStore:
     def write(
         self, index: BlockIndex, data: bytes, version: VersionNumber
     ) -> None:
-        """Store ``data`` as block ``index`` at the given version.
+        """Store ``data`` as block ``index`` at the given version: an
+        :meth:`apply` of one update, checksummed here."""
+        self.apply(((index, data, version, zlib.crc32(data)),))
 
-        The caller (the consistency protocol) owns version assignment;
-        the store only enforces geometry.  Writing clears any quarantine
-        on the block.
+    def apply(
+        self, updates: Iterable[Tuple[BlockIndex, bytes, VersionNumber, int]]
+    ) -> None:
+        """Store ``(index, data, version, checksum)`` updates in order.
+
+        The store's one write path.  The caller (the consistency
+        protocol) owns version assignment and computes each checksum
+        once per fan-out, from the same bytes every replica stores; the
+        store enforces geometry, keeps its own copy of the data and
+        clears any quarantine on the block.
         """
-        if not 0 <= index < self._num_blocks:
-            raise BlockOutOfRangeError(index, self._num_blocks)
-        if len(data) != self._block_size:
-            raise BlockSizeError(len(data), self._block_size)
-        data = bytes(data)
-        self._data[index] = data
-        self._sums[index] = zlib.crc32(data)
-        self._quarantined.discard(index)
-        self._versions.set(index, version)
+        n, size = self._num_blocks, self._block_size
+        stored, sums, quarantined = self._data, self._sums, self._quarantined
+        set_version = self._versions.set
+        for index, data, version, checksum in updates:
+            if not 0 <= index < n:
+                raise BlockOutOfRangeError(index, n)
+            if len(data) != size:
+                raise BlockSizeError(len(data), size)
+            stored[index] = bytes(data)
+            sums[index] = checksum
+            quarantined.discard(index)
+            set_version(index, version)
 
     def set_version(self, index: BlockIndex, version: VersionNumber) -> None:
         """Record a version without storing data (witness replicas).

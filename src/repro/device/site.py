@@ -48,7 +48,7 @@ class Site:
     #: Process state, and the store's bound accessors.
     VOLATILE = (
         "_state", "is_reachable", "is_available", "failures",
-        "_num_blocks", "_vget", "read_block", "write_block",
+        "_num_blocks", "_vget", "read_block", "write_block", "apply",
         "block_version", "version_total", "version_vector",
     )
     __slots__ = DURABLE + VOLATILE
@@ -91,6 +91,7 @@ class Site:
         self._vget = self._store._vget
         self.read_block = self._store.read
         self.write_block = self._store.write
+        self.apply = self._store.apply
         self.block_version = self._store.version
         self.version_total = self._store.version_total
         self.version_vector = self._store.version_vector
