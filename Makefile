@@ -112,7 +112,7 @@ lint:
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 experiments:

@@ -26,7 +26,7 @@ from typing import Dict, List, Set
 from ..errors import CorruptBlockError
 from .directory import Directory
 from .filesystem import FileSystem, ROOT_INODE, _POINTER
-from .inode import FileType, NO_BLOCK
+from .inode import FileType, InodeTable, NO_BLOCK
 
 __all__ = ["CheckReport", "check_filesystem"]
 
@@ -80,9 +80,12 @@ def _blocks_of(fs: FileSystem, inode) -> List[int]:
 
 
 def check_filesystem(fs: FileSystem) -> CheckReport:
-    """Audit a mounted file system; never modifies it."""
+    """Audit a mounted file system; never modifies it.  Inodes are read
+    through a table of the check's own, so from the device and not from
+    the mount's in-core inodes."""
     report = CheckReport()
     sb = fs.superblock
+    inodes = InodeTable(fs.device, sb)
     seen_blocks: Dict[int, str] = {}
     reachable: Set[int] = set()
 
@@ -121,7 +124,7 @@ def check_filesystem(fs: FileSystem) -> CheckReport:
             )
             return
         try:
-            inode = fs._inodes.read(inode_number)
+            inode = inodes.read(inode_number)
         except CorruptBlockError as exc:
             report.corrupt.append(
                 f"{path}: inode {inode_number} unreadable: {exc}"
@@ -160,7 +163,7 @@ def check_filesystem(fs: FileSystem) -> CheckReport:
     # orphan inodes: allocated but unreachable
     for number in range(sb.num_inodes):
         try:
-            inode = fs._inodes.read(number)
+            inode = inodes.read(number)
         except CorruptBlockError:
             continue  # already reported by the walk (or unreferenced)
         if not inode.is_free and number not in reachable:
@@ -184,7 +187,7 @@ def check_filesystem(fs: FileSystem) -> CheckReport:
             )
     # root must be a directory
     try:
-        root = fs._inodes.read(ROOT_INODE)
+        root = inodes.read(ROOT_INODE)
     except CorruptBlockError:
         root = None  # reported by the walk
     if root is not None and root.file_type is not FileType.DIRECTORY:

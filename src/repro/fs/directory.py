@@ -53,16 +53,15 @@ class Directory:
     The class holds no state beyond references: every call reads or
     writes the directory's data on the device -- a scan is one device
     read, single-block while the directory fits one block, one batch
-    past that.  What a mount remembers
-    between calls is its name cache (see
-    :class:`~repro.fs.filesystem.FileSystem`), and the namespace
-    changes only here, so this is where it is kept coherent: a scan
-    that finds a name enters it, :meth:`add` enters the new name after
-    its device write returned, :meth:`remove` drops the name before it
-    writes -- a refused or in-doubt write leaves the name absent, and
-    the next lookup goes to the device.  Nothing is cached negatively,
-    and :meth:`entries` never consults the cache, so listings and fsck
-    see the device.
+    past that.  Of what a mount remembers between calls (see
+    :class:`~repro.fs.filesystem.FileSystem`), the name cache changes
+    only with the namespace, here, so this is where it is kept
+    coherent: a scan that finds a name enters it, :meth:`add` enters
+    the new name after its device write returned, :meth:`remove` drops
+    the name before it writes -- a refused or in-doubt write leaves
+    the name absent, and the next lookup goes to the device.  Nothing
+    is cached negatively, and :meth:`entries` never consults the cache,
+    so listings and fsck see the device.
     """
 
     def __init__(self, fs, inode: Inode) -> None:

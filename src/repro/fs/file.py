@@ -24,11 +24,11 @@ class File:
     """A positioned handle on one regular file.
 
     A handle holds a path and a position, no data and no inode --
-    every read/write goes through the file system, which re-reads the
-    inode and moves the data on the device (what the mount keeps is
-    the path's names).  So handles on one mount observe each other's
-    writes, matching the single-client model of the paper; two mounts
-    of one device never did (each has its own bitmap).
+    every read/write goes through the file system, which looks the
+    inode up in its in-core table and moves the data on the device.
+    So handles on one mount observe each other's writes, matching the
+    single-client model of the paper; two mounts of one device never
+    did (each has its own bitmap and inodes).
     """
 
     def __init__(self, fs: "FileSystem", path: str) -> None:

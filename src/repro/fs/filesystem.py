@@ -62,14 +62,16 @@ class FileStat:
 class FileSystem:
     """A mounted block file system.
 
-    A mount keeps two things in memory between calls: the free-block
-    bitmap and a name cache, ``(directory inode number, name) -> inode
+    A mount keeps three things in memory between calls: the free-block
+    bitmap; a name cache, ``(directory inode number, name) -> inode
     number`` for every directory entry it has looked up or added and
-    not removed since (:mod:`repro.fs.directory` keeps it coherent).
-    Both assume this mount is the device's only writer -- the paper's
+    not removed since (:mod:`repro.fs.directory` keeps it coherent);
+    and in-core inodes, every inode it has read or written
+    (:class:`~repro.fs.inode.InodeTable` keeps them coherent).  All
+    three assume this mount is the device's only writer -- the paper's
     single-client model, which the buffer cache below assumes too.
-    Inodes, directory listings and file data are read from the device
-    on every call.
+    Directory listings and file data are read from the device on every
+    call.
     """
 
     def __init__(self, device: BlockDevice, superblock: SuperBlock) -> None:
@@ -248,9 +250,11 @@ class FileSystem:
         one write, the indirect table if a pointer in it changed, the
         inode if a pointer in it or the size changed.  So a prefix of
         the call never leaves a pointer on the device to a block that
-        is free or not yet written; it can only leak blocks.  A fresh
-        block is never zero-filled on the device: the write covers it
-        in full, the uncovered part of an edge block as zeros.
+        is free or not yet written; it can only leak blocks, and a call
+        that fails hands back those the device's inode does not reach
+        (:meth:`_release`).  A fresh block is never zero-filled on the
+        device: the write covers it in full, the uncovered part of an
+        edge block as zeros.
 
         The data write, and before it the read of the existing edge
         blocks a partial end needs, is the single-block device call
@@ -264,14 +268,13 @@ class FileSystem:
                 f"file size {self.max_file_size()}"
             )
         on_device = inode.pack()
-        unreferenced: List[int] = []
+        fresh: List[int] = []
         try:
             if data:
                 bs = self._sb.block_size
                 first = offset // bs
                 last = (end - 1) // bs
-                had_table = inode.indirect != NO_BLOCK
-                blocks, unreferenced, table = self._map_range(
+                blocks, fresh, table = self._map_range(
                     inode, first, last - first + 1, allocate=True
                 )
                 # Pad the transfer to whole blocks with what surrounds
@@ -281,7 +284,7 @@ class FileSystem:
                 edges = list(dict.fromkeys(
                     block
                     for block, partial in ((blocks[0], lead), (blocks[-1], trail))
-                    if partial and block not in unreferenced
+                    if partial and block not in fresh
                 ))
                 if len(edges) == 2:
                     current = self._device.read_blocks(edges)
@@ -305,26 +308,33 @@ class FileSystem:
                     self._device.write_block(
                         inode.indirect, self._table.pack(*table)
                     )
-                    if had_table:
-                        # the device's inode reaches this table already
-                        unreferenced = [
-                            block
-                            for block in unreferenced
-                            if block in inode.direct
-                        ]
             inode.size = max(inode.size, end)
             if inode.pack() != on_device:
                 self._inodes.write(inode)
         except DeviceError:
-            self._release(unreferenced)
+            if fresh:
+                self._release(inode.number, fresh)
             raise
 
-    def _release(self, blocks: List[int]) -> None:
-        """Hand back blocks a failed call allocated and nothing on the
-        device references.  Best effort: if the device refuses this
-        too, they stay allocated and fsck reports the leak."""
+    def _release(self, number: int, fresh: List[int]) -> None:
+        """Hand back the blocks a failed call allocated that the
+        device's copy of inode ``number`` does not reach: its direct
+        pointers, its indirect block and that block's table.
+
+        A write that raised may have landed, so what the device holds
+        is re-read -- through the inode table, which forgot the record
+        if it was the inode write that raised.  If the re-read raises
+        too, nothing is released: a leak, which fsck reports as a
+        warning, where a guess could free a block a pointer on the
+        device names.  Best effort likewise if the bitmap flush is
+        refused.
+        """
         try:
-            self._bitmap.free(*blocks)
+            held = self._inodes.read(number)
+            reached = set(held.direct)
+            reached.add(held.indirect)
+            reached.update(self._read_table(held))
+            self._bitmap.free(*[b for b in fresh if b not in reached])
         except DeviceError:
             pass
 
@@ -393,13 +403,14 @@ class FileSystem:
     def stat(self, path: str) -> FileStat:
         """Metadata for ``path``."""
         inode = self._resolve(path)
-        pointers = inode.direct + [inode.indirect] + self._read_table(inode)
-        blocks = sum(1 for block in pointers if block != NO_BLOCK)
+        pointers = inode.direct + [inode.indirect]
+        if inode.indirect != NO_BLOCK:
+            pointers += self._read_table(inode)
         return FileStat(
             inode=inode.number,
             file_type=inode.file_type,
             size=inode.size,
-            blocks=blocks,
+            blocks=len(pointers) - pointers.count(NO_BLOCK),
         )
 
     def create(self, path: str) -> None:

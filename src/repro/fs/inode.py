@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..device.interface import BlockDevice
 from ..errors import FSFormatError, NoSpaceFSError
@@ -62,6 +62,13 @@ class Inode:
     def is_regular(self) -> bool:
         return self.file_type is FileType.REGULAR
 
+    def copy(self) -> "Inode":
+        """An independent copy (the pointer list is not shared)."""
+        return Inode(
+            self.number, self.file_type, self.links, self.size,
+            self.direct[:], self.indirect,
+        )
+
     def pack(self) -> bytes:
         raw = _INODE.pack(
             int(self.file_type),
@@ -92,12 +99,34 @@ def _is_free(data: bytes, offset: int) -> bool:
 
 
 class InodeTable:
-    """Reads, writes, allocates and frees inodes on the device."""
+    """Reads, writes, allocates and frees inodes, keeping them in core.
+
+    The table holds the image of every inode-table block this mount has
+    read or written, and the decoded record of every inode in it a
+    caller has asked for; ``num_inodes`` bounds both.  It follows the
+    buffer cache's coherence rule (DESIGN §6):
+
+    * A table block's in-core records are the image this mount last
+      read from that block, or last wrote to it successfully.
+    * A write first drops the block's image and records, and enters
+      the new image only after the device call returns: a refused or
+      in-doubt write leaves them absent, and the next read asks the
+      device.
+    * A write modifies the block's image, so after it succeeds every
+      record of the block equals the written image -- a neighbour's
+      torn record can never differ between the mount and the device.
+
+    :meth:`read` hands out a copy: a caller changes the table only
+    through :meth:`write`.  A fresh table reads the device, which is
+    how fsck audits it.
+    """
 
     def __init__(self, device: BlockDevice, superblock: SuperBlock) -> None:
         self._device = device
         self._sb = superblock
         self._per_block = superblock.block_size // INODE_SIZE
+        self._images: Dict[int, bytes] = {}
+        self._core: Dict[int, Inode] = {}
 
     def _locate(self, number: int) -> tuple:
         if not 0 <= number < self._sb.num_inodes:
@@ -108,37 +137,50 @@ class InodeTable:
         offset = (number % self._per_block) * INODE_SIZE
         return block, offset
 
+    def _image(self, block: int) -> bytes:
+        """Table block ``block`` as this mount last saw it, read from
+        the device when it is not in core."""
+        image = self._images.get(block)
+        if image is None:
+            image = self._images[block] = bytes(self._device.read_block(block))
+        return image
+
     def read(self, number: int) -> Inode:
-        """Load inode ``number`` from the device."""
-        block, offset = self._locate(number)
-        data = self._device.read_block(block)
-        return Inode.unpack(number, data[offset : offset + INODE_SIZE])
+        """Inode ``number``, from core or else from its table block."""
+        inode = self._core.get(number)
+        if inode is None:
+            block, offset = self._locate(number)
+            record = self._image(block)[offset : offset + INODE_SIZE]
+            inode = self._core[number] = Inode.unpack(number, record)
+        return inode.copy()
 
     def write(self, inode: Inode) -> None:
-        """Store ``inode`` back to the device (read-modify-write)."""
+        """Store ``inode`` back to the device (read-modify-write of its
+        table block's image)."""
         block, offset = self._locate(inode.number)
-        data = bytearray(self._device.read_block(block))
-        data[offset : offset + INODE_SIZE] = inode.pack()
-        self._device.write_block(block, bytes(data))
+        image = self._image(block)
+        image = image[:offset] + inode.pack() + image[offset + INODE_SIZE :]
+        del self._images[block]
+        first = (block - self._sb.inode_start) * self._per_block
+        for number in range(first, first + self._per_block):
+            self._core.pop(number, None)
+        self._device.write_block(block, image)
+        self._images[block] = image
+        self._core[inode.number] = inode.copy()
 
-    def _records(self) -> Iterator[Tuple[int, int, bytearray, int]]:
-        """``(number, table block, its contents, offset of the record)``
-        for every inode in number order; each table block is read once."""
-        loaded, data = None, bytearray()
+    def _records(self) -> Iterator[Tuple[int, bytes, int]]:
+        """``(number, its table block's image, offset of the record)``
+        for every inode in number order."""
         for number in range(self._sb.num_inodes):
             block, offset = self._locate(number)
-            if block != loaded:
-                loaded = block
-                data = bytearray(self._device.read_block(block))
-            yield number, block, data, offset
+            yield number, self._image(block), offset
 
     def allocate(self, file_type: FileType) -> Inode:
         """Claim the lowest-numbered free inode."""
-        for number, block, data, offset in self._records():
-            if _is_free(data, offset):
+        for number, image, offset in self._records():
+            if _is_free(image, offset):
                 inode = Inode(number=number, file_type=file_type, links=1)
-                data[offset : offset + INODE_SIZE] = inode.pack()
-                self._device.write_block(block, bytes(data))
+                self.write(inode)
                 return inode
         raise NoSpaceFSError("no free inodes")
 
@@ -156,6 +198,6 @@ class InodeTable:
         """Number of allocated inodes."""
         return sum(
             1
-            for _number, _block, data, offset in self._records()
-            if not _is_free(data, offset)
+            for _number, image, offset in self._records()
+            if not _is_free(image, offset)
         )

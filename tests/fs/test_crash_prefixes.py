@@ -3,8 +3,11 @@
 The device refuses the *k*-th write of the call under test, for every
 *k* the call makes -- once only (a transient ``DeviceError``: the file
 system goes on to its clean-up) and from then on (a client crash: nothing
-after the prefix reaches the device).  For a data-path call a fresh
-mount of what is on the device must pass fsck either way, and every
+after the prefix reaches the device).  A data-path call also meets the
+write that is in doubt: it lands, then raises once, what a replicated
+device does when a write loses its quorum after the fan-out.  For a
+data-path call a fresh mount of what is on the device, and the mount
+that survived, must pass fsck in every case and read alike, and every
 file must read as what it held before the call or what the call was
 writing.  For a namespace call the assertion is agreement: the mount
 that survived a transient refusal -- bitmap and name cache in memory --
@@ -87,34 +90,34 @@ def _writes_of(size, call):
 def _prefixes():
     for name, (size, call, _after) in SCENARIOS.items():
         for k in range(1, _writes_of(size, call) + 1):
-            for stay_down in (False, True):
-                yield pytest.param(
-                    name, k, stay_down,
-                    id=f"{name}-{k}-{'crash' if stay_down else 'transient'}",
-                )
+            for mode in ("transient", "crash", "in-doubt"):
+                yield pytest.param(name, k, mode, id=f"{name}-{k}-{mode}")
 
 
-@pytest.mark.parametrize("name, k, stay_down", _prefixes())
-def test_every_write_prefix_is_consistent(name, k, stay_down):
+@pytest.mark.parametrize("name, k, mode", _prefixes())
+def test_every_write_prefix_is_consistent(name, k, mode):
     size, call, after = SCENARIOS[name]
     device, fs, before = _prepared(size)
     old, new = before["/target"], after(before["/target"])
-    device.fail_at, device.stay_down = device.write_calls + k, stay_down
+    device.fail_at = device.write_calls + k
+    device.stay_down, device.in_doubt = mode == "crash", mode == "in-doubt"
     with pytest.raises(DeviceError):
         call(fs)
     device.fail_at = None
 
     views = [FileSystem.mount(device)]
-    if not stay_down:
+    if mode != "crash":
         views.append(fs)  # a survivor's memory must agree with the device
     for view in views:
         report = check_filesystem(view)
         assert not report.errors and not report.corrupt, report.errors
-        if not stay_down and name != "truncate":
-            # the failed write's allocation was handed back
+        if mode == "transient" and name != "truncate":
+            # the failed write's allocation was handed back; a write in
+            # doubt may leave bits set that only the device holds
             assert not report.warnings, report.warnings
         assert view.read_file("/bystander") == before["/bystander"]
         got = view.read_file("/target")
+        assert got == views[0].read_file("/target")
         assert len(got) in (len(old), len(new))
         for at, byte in enumerate(got):
             assert byte in (old[at : at + 1] + new[at : at + 1]), (

@@ -88,35 +88,35 @@ def test_write_inside_one_block_reads_that_block_once():
     fs, device = _fs_with_file(4)
     reads, writes = device.spent(lambda: fs.write_file("/f", b"x" * 40, BS + 7))
     (block,) = writes[0]
-    # the inode, then the block both partial ends lie in -- named once
-    assert reads == [[fs.superblock.inode_start], [block]]
+    # the block both partial ends lie in -- named once; the inode is in core
+    assert reads == [[block]]
     assert len(writes) == 1
 
 
 # The transfer is one device call either way; which one follows from
-# how many blocks the byte range maps to, and from nothing else.  Every
-# call starts with the read of /f's inode (/f holds four blocks).
+# how many blocks the byte range maps to, and from nothing else.  /f
+# holds four blocks, and its inode is in core: no call reads it.
 ONE_BLOCK_OR_A_BATCH = {
     "read inside one block": (
-        lambda fs: fs.read_file("/f", BS + 7, 40), ["r", "r"]),
+        lambda fs: fs.read_file("/f", BS + 7, 40), ["r"]),
     "read of one whole block": (
-        lambda fs: fs.read_file("/f", BS, BS), ["r", "r"]),
+        lambda fs: fs.read_file("/f", BS, BS), ["r"]),
     "read across two blocks": (
-        lambda fs: fs.read_file("/f", BS + 7, BS), ["r", "rb"]),
+        lambda fs: fs.read_file("/f", BS + 7, BS), ["rb"]),
     # the edge block is read, patched and written back
     "write inside one block": (
-        lambda fs: fs.write_file("/f", b"x" * 40, BS + 7), ["r", "r", "w"]),
+        lambda fs: fs.write_file("/f", b"x" * 40, BS + 7), ["r", "w"]),
     # wholly covered: nothing of the old block survives, so no edge read
     "whole-block overwrite": (
-        lambda fs: fs.write_file("/f", b"x" * BS, BS), ["r", "w"]),
+        lambda fs: fs.write_file("/f", b"x" * BS, BS), ["w"]),
     "fresh block past the end": (
         lambda fs: fs.write_file("/f", b"x" * 40, 4 * BS + 7),
-        # bitmap, the block, the inode into its table block
-        ["r", "w", "w", "r", "w"]),
+        # bitmap, the block, the inode into its in-core table block
+        ["w", "w", "w"]),
     "two blocks, both ends partial": (
-        lambda fs: fs.write_file("/f", b"x" * BS, BS + 7), ["r", "rb", "wb"]),
+        lambda fs: fs.write_file("/f", b"x" * BS, BS + 7), ["rb", "wb"]),
     "two blocks, one end partial": (
-        lambda fs: fs.write_file("/f", b"x" * (BS + 7), BS), ["r", "r", "wb"]),
+        lambda fs: fs.write_file("/f", b"x" * (BS + 7), BS), ["r", "wb"]),
 }
 
 
@@ -136,12 +136,10 @@ def test_one_block_moves_with_the_single_block_call(case):
 def test_a_hole_is_read_without_the_device():
     fs, device = _fs_with_file(0)
     fs.write_file("/f", b"tail", 3 * BS)  # blocks 0 to 2 stay unmapped
-    sb = fs.superblock
     for offset, size in ((BS + 7, 40), (0, 3 * BS)):
         start = len(device.log)
         assert fs.read_file("/f", offset, size) == bytes(size)
-        made = [blocks for _op, blocks in device.log[start:]]
-        assert _regions(sb, made) == ["inode"], (offset, size)
+        assert device.log[start:] == [], (offset, size)
 
 
 def test_a_sparse_range_that_maps_to_one_block_is_a_single_block_read():
@@ -150,7 +148,7 @@ def test_a_sparse_range_that_maps_to_one_block_is_a_single_block_read():
     # four file blocks, one device block: it is the mapped count that
     # selects the call, not the span of the range
     batches = device.stats.batch_reads
-    assert _kinds(device, lambda: fs.read_file("/f")) == ["r", "r"]
+    assert _kinds(device, lambda: fs.read_file("/f")) == ["r"]
     assert device.stats.batch_reads == batches
     assert fs.read_file("/f") == bytes(3 * BS) + b"tail"
 
@@ -159,9 +157,9 @@ def test_read_is_the_table_and_one_batch():
     fs, device = _fs_with_file(24)
     sb = fs.superblock
     reads, writes = device.spent(lambda: fs.read_file("/f", 12 * BS, 8 * BS))
-    # /f is warm since its create: no root inode, no directory scan
-    assert _regions(sb, reads) == ["inode", "data", "data"]
-    assert [len(blocks) for blocks in reads] == [1, 1, 8]  # inode, table, batch
+    # /f is warm since its create: no directory scan, no inode read
+    assert _regions(sb, reads) == ["data", "data"]
+    assert [len(blocks) for blocks in reads] == [1, 8]  # table, batch
     assert writes == []
 
 
@@ -174,16 +172,17 @@ def test_resolution_is_cold_once_per_name():
 
     cold = FileSystem.mount(device)
     reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
-    # per component the directory's inode and its data -- one block
-    # each here, so a single-block read -- then the inode the path names
-    assert _regions(sb, reads) == ["inode", "data"] * 3 + ["inode"]
-    assert [op for op, _blocks in device.log[-7:]] == ["r"] * 7
+    # the root's inode, whose table block holds the other three, then
+    # per component the directory's data -- one block each here, so a
+    # single-block read
+    assert _regions(sb, reads) == ["inode"] + ["data"] * 3
+    assert [op for op, _blocks in device.log[-4:]] == ["r"] * 4
     reads, _writes = device.spent(lambda: cold.exists("/a/b/f"))
-    assert _regions(sb, reads) == ["inode"]
+    assert reads == []
     # a name that is not there is looked for on the device every time
     for _again in range(2):
         reads, _writes = device.spent(lambda: cold.exists("/a/b/ghost"))
-        assert _regions(sb, reads) == ["inode", "data"]
+        assert _regions(sb, reads) == ["data"]
 
 
 def test_a_directory_past_one_block_is_still_one_scan():
@@ -196,21 +195,21 @@ def test_a_directory_past_one_block_is_still_one_scan():
 
     cold = FileSystem.mount(device)
     made = _kinds(device, lambda: cold.exists(f"/d/f{last}"))
-    # root inode and block, /d's inode and both its blocks, the file's inode
-    assert made == ["r", "r", "r", "rb", "r"]
+    # root inode and block, both blocks of /d (whose inode shares the
+    # root's table block), the file's inode (in a table block of its own)
+    assert made == ["r", "r", "rb", "r"]
     assert len(device.log[-2][1]) == 2
 
 
 def test_a_name_is_warm_from_the_call_that_made_it():
     fs, device = _fs_with_file(1)
-    sb = fs.superblock
     fs.mkdir("/a")
     fs.create("/a/f")
     fs.rename("/a", "/z")
     fs.rename("/z/f", "/z/g")
     for path in ("/z", "/z/g"):
         reads, _writes = device.spent(lambda: fs.stat(path))
-        assert _regions(sb, reads) == ["inode"], path
+        assert reads == [], path
 
 
 @pytest.mark.parametrize("blocks", [0, 3, 24])

@@ -94,16 +94,16 @@ def test_a_path_is_priced_once_per_mount():
         call()
         return cluster.meter.total - before
 
-    # per component its directory's inode and one scan; the file's
-    # inode; for the read, its block
+    # the root's inode, whose table block holds all four; per
+    # component one scan; for the read, the file's block
     cold = FileSystem.mount(device)
-    assert messages(lambda: cold.read_file("/a/b/f")) == 8 * read == 40
-    assert messages(lambda: cold.read_file("/a/b/f")) == 2 * read
+    assert messages(lambda: cold.read_file("/a/b/f")) == 5 * read == 25
+    assert messages(lambda: cold.read_file("/a/b/f")) == 1 * read
     cold = FileSystem.mount(device)
-    assert messages(lambda: cold.stat("/a/b/f")) == 7 * read
-    assert messages(lambda: cold.stat("/a/b/f")) == 1 * read
+    assert messages(lambda: cold.stat("/a/b/f")) == 4 * read
+    assert messages(lambda: cold.stat("/a/b/f")) == 0
     # the mount that made the names never looks them up
-    assert messages(lambda: fs.stat("/a/b/f")) == 1 * read
+    assert messages(lambda: fs.stat("/a/b/f")) == 0
 
 
 def test_a_one_block_transfer_is_the_single_block_round():
@@ -125,24 +125,24 @@ def test_a_one_block_transfer_is_the_single_block_round():
     def batch_messages(traffic):
         return [c for c in traffic.by_category if c.name.startswith("BATCH_")]
 
-    inode = spent(lambda: fs.stat("/f"))  # the inode and nothing else
-    assert (inode.total, inode.total_bytes) == (READ_MSGS, READ_BYTES) \
-        == (5, 200)
+    inode = spent(lambda: fs.stat("/f"))  # the inode is in core
+    assert (inode.total, inode.total_bytes) == (0, 0)
 
-    # in place and wholly covered: the inode read, then one write round
+    # in place and wholly covered: one write round
     write = spent(lambda: fs.write_file("/f", b"x" * bs, bs))
-    assert write.total - inode.total == WRITE_MSGS == 6
-    assert write.total_bytes - inode.total_bytes == WRITE_BYTES == 752
+    assert (write.total, write.total_bytes) == (WRITE_MSGS, WRITE_BYTES) \
+        == (6, 752)
     assert batch_messages(write) == []
 
     # a partial end adds the read of the block it lies in
     patch = spent(lambda: fs.write_file("/f", b"y" * 40, bs + 7))
-    assert patch.total == 2 * READ_MSGS + WRITE_MSGS
-    assert patch.total_bytes == 2 * READ_BYTES + WRITE_BYTES
+    assert patch.total == READ_MSGS + WRITE_MSGS
+    assert patch.total_bytes == READ_BYTES + WRITE_BYTES
     assert batch_messages(patch) == []
 
     read = spent(lambda: fs.read_file("/f", bs + 7, 40))
-    assert (read.total, read.total_bytes) == (2 * READ_MSGS, 2 * READ_BYTES)
+    assert (read.total, read.total_bytes) == (READ_MSGS, READ_BYTES) \
+        == (5, 200)
     assert batch_messages(read) == []
 
     # two blocks are a batch, as before
